@@ -30,7 +30,6 @@ from mchan.channel import (
     UnionBound,
     capacity_bits_per_symbol,
     continuous_capacity,
-    esinr,
     q_function,
     ser,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "UnionBound",
     "capacity_bits_per_symbol",
     "continuous_capacity",
-    "esinr",
     "q_function",
     "ser",
     "CriterionValue",

@@ -14,19 +14,29 @@ error probability is
 
     p(m, h) = 1 - Integral phi(u) * Phi(u + h*sqrt(2))**(m-1) du,
 
-with phi/Phi the standard normal pdf/cdf.  The integral is evaluated in
-the numerically stable complementary form
+with phi/Phi the standard normal pdf/cdf.  It is evaluated in the
+complementary form
 
-    p = Integral phi(u) * (1 - exp((m-1) * log Phi(u + h*sqrt(2)))) du
+    p = Integral phi(u) * -expm1((m-1) * log1p(-Q(u + h*sqrt(2)))) du,
 
-on u in [-10, 10] with adaptive Simpson quadrature; outside that window
-the integrand is below 1e-22 for every m and h of interest.
+with the tail Q = 1 - Phi taken from ``math.erfc``, so that p keeps its
+relative accuracy when it is tiny.  One fixed 128-node Gauss-Legendre
+rule is laid on u in [-h/sqrt(2) - 8, -h/sqrt(2) + 8]: the integrand's
+mass sits near u = 0 for small h and near u = -h/sqrt(2), with width
+1/sqrt(2), for large h.  The same rule serves every h, so p is smooth in
+h and an ndarray of h is integrated in one vectorised call.  Against an
+independent high-precision quadrature the relative error is below 1e-14
+for m <= 64 and h <= 9.5, and against Q(h) for m = 2 below 1e-12 up to
+h = 37, where Q(h) nears the smallest double.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+
+import numpy as np
 
 __all__ = [
     "ChannelDomainError",
@@ -39,7 +49,6 @@ __all__ = [
     "UnionBound",
     "capacity_bits_per_symbol",
     "continuous_capacity",
-    "esinr",
     "q_function",
     "ser",
 ]
@@ -48,12 +57,13 @@ _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Integration window for the error-rate integral.  phi(u) < 8e-23 outside
-# [-10, 10] and the bracketed factor is bounded by 1, so the truncation
-# error is far below the quadrature tolerances used anywhere in the package.
-_QUAD_LO = -10.0
-_QUAD_HI = 10.0
-_MAX_DEPTH = 48
+# The SER rule: 128 nodes on a window of half-width 8 about the
+# integrand's mass.  Wider windows need more nodes for m near 64 (half-width
+# 10 leaves a 1.5e-11 relative error at m = 64, h = 0.9); narrower ones start
+# to truncate mass (2.6e-12 at half-width 7).
+_RULE_NODES = 128
+_RULE_HALF_WIDTH = 8.0
+_RULE_BLOCK = 32
 
 
 class ChannelDomainError(ValueError):
@@ -65,20 +75,12 @@ class SerTableRangeError(ChannelDomainError):
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The SER quadrature rule produced a non-finite value."""
 
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
     return 0.5 * math.erfc(x / _SQRT2)
-
-
-def _norm_pdf(u: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * u * u)
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 @dataclass(frozen=True)
@@ -144,92 +146,112 @@ class ChannelPoint:
         return self.g * math.sqrt(self.b_s / 2.0)
 
 
-def esinr(point: ChannelPoint) -> float:
-    """Energy SINR of a working point; h**2 equals E_s / N_0m."""
-    return point.h
-
-
 class SerModel:
-    """Symbol-error-rate model interface: callable on (m, h)."""
+    """Symbol-error-rate model interface: ``ser(m, h)``.
 
-    def ser(self, m: int, h: float) -> float:
+    ``h`` is a float or an ndarray of energy SINRs; the result has the
+    same type (and shape), so a grid of h costs one call.
+    """
+
+    def ser(self, m: int, h: float | np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 
     @staticmethod
-    def _check_args(m: int, h: float) -> None:
+    def _check_args(m: int, h: float | np.ndarray) -> np.ndarray:
         if not isinstance(m, int) or m < 2:
             raise ChannelDomainError(f"ensemble size m must be an integer >= 2, got {m!r}")
-        if not (h >= 0.0 and math.isfinite(h)):
+        hs = np.asarray(h, dtype=float)
+        if not (np.isfinite(hs) & (hs >= 0.0)).all():
             raise ChannelDomainError(f"energy SINR h must be finite and >= 0, got {h!r}")
+        return hs
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature with Richardson correction."""
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
+def _same_kind(h: float | np.ndarray, p: np.ndarray) -> float | np.ndarray:
+    """``p`` as an ndarray for an ndarray ``h``, as a float otherwise."""
+    return p if isinstance(h, np.ndarray) else float(p)
 
 
-def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
-    mid = 0.5 * (a + b)
-    lm = 0.5 * (a + mid)
-    rm = 0.5 * (mid + b)
-    flm, frm = f(lm), f(rm)
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(
-            f"adaptive Simpson failed to reach tol={tol!r} on [{a!r}, {b!r}]"
-        )
-    half = 0.5 * tol
-    return _simpson_recurse(f, a, mid, fa, flm, fm, left, half, depth - 1) + _simpson_recurse(
-        f, mid, b, fm, frm, fb, right, half, depth - 1
-    )
+def _q_array(x: np.ndarray) -> np.ndarray:
+    """Q elementwise, through ``math.erfc`` (relative accuracy in the tail)."""
+    z = (x / _SQRT2).ravel().tolist()
+    return 0.5 * np.fromiter(map(math.erfc, z), float, count=len(z)).reshape(x.shape)
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and its derivative by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+@cache
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the SER rule on [-_RULE_HALF_WIDTH, _RULE_HALF_WIDTH].
+
+    Newton's method on the Legendre recurrence from Tricomi's initial
+    roots; the weights carry the window scale and phi's 1/sqrt(2 pi).
+    Built on first use, so importing the package stays cheap.
+    """
+    n = _RULE_NODES
+    x = np.cos(np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-14:  # quadratic convergence: x is now exact
+            break
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = _RULE_HALF_WIDTH * np.concatenate((-x, x[::-1]))
+    weights = (_RULE_HALF_WIDTH * _INV_SQRT_2PI) * np.concatenate((w, w[::-1]))
+    return nodes, weights
+
+
+def _orthogonal_ser(k: int, h: np.ndarray) -> np.ndarray:
+    """The error integral for k = m - 1 at each h of a 1-D array.
+
+    Blocks of _RULE_BLOCK values of h keep every temporary (128 nodes per
+    h) small, so a long sweep does not raise the process's peak memory.
+    """
+    nodes, weights = _gauss_legendre_rule()
+    p = np.empty(h.shape)
+    for start in range(0, h.size, _RULE_BLOCK):
+        shift = (h[start:start + _RULE_BLOCK] / _SQRT2)[:, None]  # mass at u = -shift
+        u = nodes - shift
+        q = _q_array(nodes + shift)  # Q(u + h*sqrt(2))
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf where Q rounds to 1
+            miss = -np.expm1(k * np.log1p(-q))  # 1 - Phi**k without cancellation
+        p[start:start + _RULE_BLOCK] = (np.exp(-0.5 * u * u) * miss) @ weights
+    return p
 
 
 @dataclass(frozen=True)
 class ExactCoherentOrthogonal(SerModel):
     """Exact SER of coherently detected equal-energy orthogonal signals.
 
-    ``quad_tol`` is the absolute tolerance handed to the adaptive Simpson
-    integrator.  The default 1e-10 keeps a single evaluation around a
-    millisecond; tighten it for high-accuracy sweeps.
+    One fixed Gauss-Legendre rule serves every h (see the module
+    docstring): relative accuracy holds in the tail, p is smooth and
+    non-increasing in h, and ``p(m, 0)`` is exactly ``(m-1)/m``.
     """
 
-    quad_tol: float = 1e-10
-
-    def ser(self, m: int, h: float) -> float:
-        self._check_args(m, h)
-        shift = h * _SQRT2
-        k = m - 1
-
-        def integrand(u: float) -> float:
-            cdf = _norm_cdf(u + shift)
-            if cdf <= 0.0:
-                return _norm_pdf(u)
-            # 1 - Phi**k, computed without cancellation for Phi near 1.
-            return _norm_pdf(u) * (-math.expm1(k * math.log(cdf)))
-
-        p = _adaptive_simpson(integrand, _QUAD_LO, _QUAD_HI, self.quad_tol)
-        p_max = k / m
-        if p < 0.0:
-            return 0.0
-        return min(p, p_max)
+    def ser(self, m: int, h: float | np.ndarray) -> float | np.ndarray:
+        hs = self._check_args(m, h)
+        p = _orthogonal_ser(m - 1, hs.reshape(-1)).reshape(hs.shape)
+        if not np.isfinite(p).all():
+            raise QuadratureError(f"the SER rule gave a non-finite value at m={m}, h={h!r}")
+        p_max = (m - 1) / m
+        return _same_kind(h, np.where(hs == 0.0, p_max, np.minimum(p, p_max)))
 
 
 @dataclass(frozen=True)
 class UnionBound(SerModel):
     """Union bound p <= min((m-1) * Q(h), (m-1)/m)."""
 
-    def ser(self, m: int, h: float) -> float:
-        self._check_args(m, h)
+    def ser(self, m: int, h: float | np.ndarray) -> float | np.ndarray:
+        hs = self._check_args(m, h)
         k = m - 1
-        return min(k * q_function(h), k / m)
+        return _same_kind(h, np.minimum(k * _q_array(hs), k / m))
 
 
 class TableSer(SerModel):
@@ -255,27 +277,17 @@ class TableSer(SerModel):
                 if p > knots[i - 1][1]:
                     raise ChannelDomainError("knot p values must be non-increasing in h")
         self.knots = knots
+        self._h, self._p = (np.array(column) for column in zip(*knots))
 
-    def ser(self, m: int, h: float) -> float:
-        self._check_args(m, h)
+    def ser(self, m: int, h: float | np.ndarray) -> float | np.ndarray:
+        hs = self._check_args(m, h)
         h_lo, h_hi = self.knots[0][0], self.knots[-1][0]
-        if h < h_lo or h > h_hi:
+        if np.any((hs < h_lo) | (hs > h_hi)):
             raise SerTableRangeError(
                 f"h={h!r} outside table range [{h_lo!r}, {h_hi!r}]; refusing to extrapolate"
             )
-        # Binary search for the bracketing segment.
-        lo, hi = 0, len(self.knots) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.knots[mid][0] <= h:
-                lo = mid
-            else:
-                hi = mid
-        h0, p0 = self.knots[lo]
-        h1, p1 = self.knots[hi]
-        t = 0.0 if h1 == h0 else (h - h0) / (h1 - h0)
-        p = p0 + t * (p1 - p0)
-        return min(p, (m - 1) / m)
+        p = np.interp(hs, self._h, self._p)
+        return _same_kind(h, np.minimum(p, (m - 1) / m))
 
 
 def ser(point: ChannelPoint, model: SerModel) -> float:
@@ -290,6 +302,17 @@ def capacity_bits_per_symbol(m: int, p: float) -> float:
     with the convention x * log2(x) = 0 at x = 0.  Defined for
     0 <= p <= (m-1)/m; C is log2(m) at p=0 and exactly 0 at the
     uniform-guessing point p = (m-1)/m.
+
+    Towards that point C vanishes like x**2 in the excess
+    x = m * (1-p) - 1 of the correct decision over guessing, and the sum
+    above would leave it only an absolute accuracy of ~1e-16.  For
+    p >= p_max / 2 it is therefore written in x, where the log2(m) terms
+    cancel exactly:
+
+        C = ((1+x) * log2(1+x) + (m-1-x) * log2(1 - x/(m-1))) / m,
+
+    which keeps a relative accuracy of ~1e-16 / x, what the rounding of p
+    itself allows.
     """
     if not isinstance(m, int) or m < 2:
         raise ChannelDomainError(f"ensemble size m must be an integer >= 2, got {m!r}")
@@ -300,11 +323,18 @@ def capacity_bits_per_symbol(m: int, p: float) -> float:
         return math.log2(m)
     if p == p_max:
         return 0.0
-    value = (
-        math.log2(m)
-        + (1.0 - p) * math.log1p(-p) / _LOG2
-        + p * math.log2(p / (m - 1))
-    )
+    if p >= 0.5 * p_max:
+        x = (m - 1) - m * p  # exact for m a power of two (Sterbenz)
+        value = ((1.0 + x) * math.log1p(x)
+                 + (m - 1 - x) * math.log1p(-x / (m - 1))) / (m * _LOG2)
+    else:
+        # log2(p) - log2(m-1), not log2(p / (m-1)): the quotient underflows
+        # to 0 for subnormal p.
+        value = (
+            math.log2(m)
+            + (1.0 - p) * math.log1p(-p) / _LOG2
+            + p * (math.log2(p) - math.log2(m - 1))
+        )
     # Rounding can push the value a hair below zero near the endpoint.
     return max(0.0, value)
 

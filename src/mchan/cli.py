@@ -218,7 +218,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     pc.add_argument("--g", type=float, default=None, help="SINR amplitude")
     pc.add_argument("--bs", dest="b_s", type=float, default=None, help="signal base 2*dF*T")
     pc.add_argument("--ser", choices=("exact", "union"), default="exact")
-    pc.add_argument("--quad-tol", type=float, default=1e-10)
     pc.add_argument("--n0n", type=float, default=None, help="noise density W/Hz (enables Joule forms)")
     pc.add_argument("--n0i", type=float, default=0.0, help="interference density W/Hz")
     pc.add_argument("--sweep-bs", type=_range_spec, default=None,
@@ -248,7 +247,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     help="restrict max-icse to w <= w_inf*(1+eps)")
     po.add_argument("--tol", type=float, default=1e-6, help="relative refinement tolerance")
     po.add_argument("--method", choices=("reduced", "grid2d"), default="reduced")
-    po.add_argument("--quad-tol", type=float, default=1e-10)
     po.add_argument("--verify", choices=("statement1", "statement3"), default=None)
     po.add_argument("--g-list", type=_floats_csv, default=(0.5, 1.0, 2.0),
                     help="amplitudes for --verify statement3")
@@ -320,16 +318,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 # subcommand handlers: each returns (params, results, columns, rows)
 
 
-def _ser_model(name: str, quad_tol: float):
-    if name == "exact":
-        return ExactCoherentOrthogonal(quad_tol=quad_tol)
-    return UnionBound()
-
-
 def _cmd_criteria(args):
-    params = {"ser": args.ser, "quad_tol": _fmt(args.quad_tol), "seed": _fmt(args.seed),
-              "format": args.format}
-    model = _ser_model(args.ser, args.quad_tol)
+    params = {"ser": args.ser, "seed": _fmt(args.seed), "format": args.format}
+    model = ExactCoherentOrthogonal() if args.ser == "exact" else UnionBound()
 
     if args.sweep_bs is not None:
         m_list = args.m_list if args.m_list else ((args.m,) if args.m else None)
@@ -383,9 +374,8 @@ def _cmd_criteria(args):
 
 
 def _cmd_optimize(args):
-    model = _ser_model("exact", args.quad_tol)
-    params = {"quad_tol": _fmt(args.quad_tol), "tol": _fmt(args.tol),
-              "seed": _fmt(args.seed), "format": args.format}
+    model = ExactCoherentOrthogonal()
+    params = {"tol": _fmt(args.tol), "seed": _fmt(args.seed), "format": args.format}
 
     if args.verify == "statement1":
         if args.m is None:
@@ -393,8 +383,7 @@ def _cmd_optimize(args):
         params.update({"verify": "statement1", "m": _fmt(args.m),
                        "g_range": _fmt(args.g_range), "bs_range": _fmt(args.bs_range)})
         report = verify_statement1(args.m, g_range=args.g_range, b_s_grid=args.bs_range,
-                                   model=ExactCoherentOrthogonal(quad_tol=min(args.quad_tol, 1e-12)),
-                                   tol=args.tol)
+                                   model=model, tol=args.tol)
         results = {"m": report.m, "w_low": _fmt(report.w_low), "w_high": _fmt(report.w_high),
                    "spread_rel": _fmt(report.spread_rel), "threshold": _fmt(report.threshold),
                    "passed": _fmt(report.passed)}

@@ -3,9 +3,10 @@
 ICPE depends on (g, B_s) only through the energy SINR h = g * sqrt(B_s/2),
 so every search here reduces to one dimension: build the h-window induced
 by the axis ranges, minimise (or maximise) over h with a log-spaced grid
-followed by golden-section refinement, then map the optimiser back to a
-concrete (g, B_s) pair.  A direct two-dimensional grid search is kept as a
-cross-check (``method="grid2d"``); the two routes must agree.
+(one vectorised SER call per m) followed by golden-section refinement,
+then map the optimiser back to a concrete (g, B_s) pair.  A direct
+two-dimensional grid search is kept as a cross-check (``method="grid2d"``);
+the two routes must agree.
 
 Boundary extremums are reported with ``attained=False``: for m = 2 the
 power criterion has no interior minimum and its infimum pi * ln 2 is only
@@ -17,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
+
+import numpy as np
 
 from mchan.channel import ExactCoherentOrthogonal, SerModel, capacity_bits_per_symbol
 from mchan.criteria import UndefinedCriterionError
@@ -183,6 +186,12 @@ class _BestTracker:
             self.x = x
             self.value = value
 
+    def offer_grid(self, xs: list[float], values: np.ndarray) -> None:
+        """Offer every grid point; the first of equal minima wins, as in ``offer``."""
+        i = int(np.argmin(values))
+        self.offer(xs[i], float(values[i]))
+        self.evals += len(xs) - 1
+
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, rel_tol: float,
                 best: _BestTracker) -> None:
@@ -210,31 +219,28 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float, rel_tol: floa
             best.offer(math.exp(x2), f2)
 
 
-def _optimize_over_h(f: Callable[[float], float], h_lo: float, h_hi: float,
+def _optimize_over_h(f: Callable[[np.ndarray], np.ndarray], h_lo: float, h_hi: float,
                      points: int, rel_tol: float) -> _BestTracker:
     """Grid scan plus golden refinement; returns the best-seen tracker.
 
-    ``f`` returns the objective or +inf for infeasible h.  The grid best
-    is always retained, so boundary optima at exactly h_lo/h_hi survive
-    the interior-only golden refinement.
+    ``f`` maps a 1-D array of h to the objective, +inf where h is
+    infeasible: the whole grid is one call, the golden refinement calls it
+    point by point.  The grid best is always retained, so boundary optima
+    at exactly h_lo/h_hi survive the interior-only golden refinement.
     """
     best = _BestTracker()
     if h_hi <= h_lo * (1.0 + 1e-15):
-        best.offer(h_lo, f(h_lo))
+        best.offer_grid([h_lo], f(np.array([h_lo])))
         return best
     grid = GridRange(h_lo, h_hi, points).log_grid()
-    values = []
-    for h in grid:
-        v = f(h)
-        best.offer(h, v)
-        values.append(v)
+    best.offer_grid(grid, f(np.array(grid)))
     if not math.isfinite(best.value):
         return best
-    i = values.index(min(values))
+    i = grid.index(best.x)
     lo = grid[max(0, i - 1)]
     hi = grid[min(len(grid) - 1, i + 1)]
     if hi > lo:
-        _golden_min(f, lo, hi, rel_tol, best)
+        _golden_min(lambda h: float(f(np.array([h]))[0]), lo, hi, rel_tol, best)
     return best
 
 
@@ -242,18 +248,17 @@ def _optimize_over_h(f: Callable[[float], float], h_lo: float, h_hi: float,
 # the h-reduction of a search region
 
 
-def _b_s_compat(spec: ExtremumSpec, h: float) -> tuple[float, float]:
-    """Interval of bases compatible with h under the axis ranges."""
+def _b_s_compat(spec: ExtremumSpec, h):
+    """Interval of bases compatible with h (a float or an ndarray) under the axis ranges."""
     if spec.b_s_fixed is not None:
         return spec.b_s_fixed, spec.b_s_fixed
     if spec.g_fixed is not None:
         b = 2.0 * (h / spec.g_fixed) ** 2
         return b, b
-    lo = max(spec.b_s_range.lo, 2.0 * (h / spec.g_range.hi) ** 2)
-    hi = min(spec.b_s_range.hi, 2.0 * (h / spec.g_range.lo) ** 2)
-    if hi < lo:  # float fuzz at the window corners
-        hi = lo
-    return lo, hi
+    lo = np.maximum(spec.b_s_range.lo, 2.0 * (h / spec.g_range.hi) ** 2)
+    hi = np.minimum(spec.b_s_range.hi, 2.0 * (h / spec.g_range.lo) ** 2)
+    # np.maximum also absorbs float fuzz at the window corners (hi < lo).
+    return lo, np.maximum(hi, lo)
 
 
 def _h_window(spec: ExtremumSpec) -> tuple[float, float]:
@@ -271,23 +276,20 @@ def _h_window(spec: ExtremumSpec) -> tuple[float, float]:
             spec.g_range.hi * math.sqrt(spec.b_s_range.hi / 2.0))
 
 
-def _capacity_at(m: int, h: float, model: SerModel) -> float:
-    return capacity_bits_per_symbol(m, model.ser(m, h))
+def _criteria_of_h(m: int, h: np.ndarray, model: SerModel) -> tuple[np.ndarray, np.ndarray]:
+    """C_m and ICPE w (+inf where capacity vanishes) over a 1-D array of h.
+
+    The h-kernel of every scan: one SER call for the whole array.
+    """
+    c = np.array([capacity_bits_per_symbol(m, p) for p in model.ser(m, h).tolist()])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(c > 0.0, h * h / c, np.inf)
+    return c, w
 
 
-def _w_of(m: int, h: float, model: SerModel) -> float:
-    """ICPE as a function of h; +inf where capacity vanishes."""
-    c = _capacity_at(m, h, model)
-    if c <= 0.0:
-        return math.inf
-    return h * h / c
-
-
-def _cf_best(spec: ExtremumSpec, m: int, h: float) -> float:
-    """Largest ICSE reachable at this h within the axis ranges."""
-    c = _capacity_at(m, h, spec.ser_model)
-    b_lo, _ = _b_s_compat(spec, h)
-    return 2.0 * c / b_lo
+def _w_of(m: int, model: SerModel) -> Callable[[np.ndarray], np.ndarray]:
+    """ICPE as an objective over arrays of h."""
+    return lambda h: _criteria_of_h(m, h, model)[1]
 
 
 def _map_back(spec: ExtremumSpec, h: float, prefer_min_base: bool) -> tuple[float, float]:
@@ -298,7 +300,7 @@ def _map_back(spec: ExtremumSpec, h: float, prefer_min_base: bool) -> tuple[floa
     feasibility); otherwise the decomposition closest to the geometric
     centre of the g-range is reported.
     """
-    b_lo, b_hi = _b_s_compat(spec, h)
+    b_lo, b_hi = (float(b) for b in _b_s_compat(spec, h))
     if prefer_min_base or b_lo == b_hi:
         b_s = b_lo
     else:
@@ -329,8 +331,7 @@ def _solve_reduced(spec: ExtremumSpec) -> ExtremumResult:
         w_cap = spec.w_cap
         band_note = ""
         if maximise and spec.icpe_band_eps is not None:
-            ref = _optimize_over_h(lambda h: _w_of(m, h, model), h_lo, h_hi,
-                                   points, spec.tol)
+            ref = _optimize_over_h(_w_of(m, model), h_lo, h_hi, points, spec.tol)
             total_evals += ref.evals
             band_cap = ref.value * (1.0 + spec.icpe_band_eps)
             w_cap = band_cap if w_cap is None else min(w_cap, band_cap)
@@ -339,15 +340,19 @@ def _solve_reduced(spec: ExtremumSpec) -> ExtremumResult:
         cf_floor = spec.c_f_min
         slack = spec.feas_tol
 
-        def objective(h: float, m: int = m, w_cap: float | None = w_cap) -> float:
-            w = _w_of(m, h, model)
-            if cf_floor is not None and _cf_best(spec, m, h) < cf_floor * (1.0 - slack):
-                return math.inf
-            if w_cap is not None and (not math.isfinite(w) or w > w_cap * (1.0 + slack)):
-                return math.inf
-            if maximise:
-                return -_cf_best(spec, m, h)
-            return w
+        def cf_and_w(h: np.ndarray, m: int = m) -> tuple[np.ndarray, np.ndarray]:
+            """Largest ICSE reachable at each h within the axis ranges, and ICPE."""
+            c, w = _criteria_of_h(m, h, model)
+            return 2.0 * c / _b_s_compat(spec, h)[0], w
+
+        def objective(h: np.ndarray, w_cap: float | None = w_cap) -> np.ndarray:
+            cf, w = cf_and_w(h)
+            feasible = np.ones(h.shape, dtype=bool)
+            if cf_floor is not None:
+                feasible &= cf >= cf_floor * (1.0 - slack)
+            if w_cap is not None:
+                feasible &= w <= w_cap * (1.0 + slack)
+            return np.where(feasible, -cf if maximise else w, np.inf)
 
         best = _optimize_over_h(objective, h_lo, h_hi, points, spec.tol)
         total_evals += best.evals
@@ -355,32 +360,28 @@ def _solve_reduced(spec: ExtremumSpec) -> ExtremumResult:
         if not math.isfinite(best.value):
             # Build an infeasibility certificate: the point with the best
             # constraint margin over the scan grid.
-            cert_best = None
             if h_hi > h_lo * (1.0 + 1e-12):
                 cert_grid = GridRange(h_lo, h_hi, points).log_grid()
             else:
                 cert_grid = [h_lo]
-            for h in cert_grid:
-                cf = _cf_best(spec, m, h)
-                w = _w_of(m, h, model)
-                margin = math.inf
-                if cf_floor is not None:
-                    margin = cf - cf_floor
-                if w_cap is not None and math.isfinite(w):
-                    margin = min(margin, w_cap - w) if math.isfinite(margin) else w_cap - w
-                if cert_best is None or margin > cert_best["margin"]:
-                    g, b_s = _map_back(spec, h, prefer_min_base=True)
-                    cert_best = {"m": m, "h": h, "g": g, "b_s": b_s, "c_f": cf,
-                                 "w": w, "margin": margin}
-            near_misses.append(cert_best)
+            cf, w = cf_and_w(np.array(cert_grid))
+            margin = np.full(len(cert_grid), np.inf)
+            if cf_floor is not None:
+                margin = cf - cf_floor
+            if w_cap is not None:
+                margin = np.where(np.isfinite(w), np.minimum(margin, w_cap - w), margin)
+            i = int(np.argmax(margin))
+            g, b_s = _map_back(spec, cert_grid[i], prefer_min_base=True)
+            near_misses.append({"m": m, "h": cert_grid[i], "g": g, "b_s": b_s,
+                                "c_f": float(cf[i]), "w": float(w[i]),
+                                "margin": float(margin[i])})
             continue
 
         h_star = best.x
         prefer_min_base = cf_floor is not None or maximise
         g_star, b_star = _map_back(spec, h_star, prefer_min_base)
-        c = _capacity_at(m, h_star, model)
+        c, w = (float(a[0]) for a in _criteria_of_h(m, np.array([h_star]), model))
         c_f = 2.0 * c / b_star
-        w = math.inf if c <= 0.0 else h_star * h_star / c
 
         slack_map: dict[str, float] = {}
         active_map: dict[str, bool] = {}
@@ -431,52 +432,56 @@ def _solve_grid2d(spec: ExtremumSpec) -> ExtremumResult:
     maximise = spec.objective == "max_icse"
     slack = spec.feas_tol
 
-    def eval_point(m: int, g: float, b_s: float) -> tuple[float, float, float]:
-        h = g * math.sqrt(b_s / 2.0)
-        c = _capacity_at(m, h, model)
+    def eval_points(m: int, g: np.ndarray, b_s: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Objective (+inf if infeasible), c_F and w at (g, B_s) arrays of one shape."""
+        h = g * np.sqrt(b_s / 2.0)
+        c, w = _criteria_of_h(m, h, model)
         c_f = 2.0 * c / b_s
-        w = math.inf if c <= 0.0 else h * h / c
-        if spec.c_f_min is not None and c_f < spec.c_f_min * (1.0 - slack):
-            return math.inf, c_f, w
-        if spec.w_cap is not None and (not math.isfinite(w) or w > spec.w_cap * (1.0 + slack)):
-            return math.inf, c_f, w
-        return (-c_f if maximise else w), c_f, w
+        feasible = np.ones(h.shape, dtype=bool)
+        if spec.c_f_min is not None:
+            feasible &= c_f >= spec.c_f_min * (1.0 - slack)
+        if spec.w_cap is not None:
+            feasible &= w <= spec.w_cap * (1.0 + slack)
+        return np.where(feasible, -c_f if maximise else w, np.inf), c_f, w
 
     g_grid = [spec.g_fixed] if spec.g_fixed is not None else spec.g_range.log_grid()
     b_grid = [spec.b_s_fixed] if spec.b_s_fixed is not None else spec.b_s_range.log_grid()
+    g_mesh, b_mesh = (a.ravel() for a in np.meshgrid(g_grid, b_grid, indexing="ij"))
 
     best = None
     evals = 0
     for m in spec.m_values:
-        for g in g_grid:
-            for b_s in b_grid:
-                obj, c_f, w = eval_point(m, g, b_s)
-                evals += 1
-                if best is None or obj < best[0]:
-                    best = (obj, m, g, b_s, c_f, w)
+        obj = eval_points(m, g_mesh, b_mesh)[0]
+        evals += obj.size
+        i = int(np.argmin(obj))  # the first minimum in (g, B_s) scan order
+        if best is None or obj[i] < best[0]:
+            best = (float(obj[i]), m, float(g_mesh[i]), float(b_mesh[i]))
     if best is None or not math.isfinite(best[0]):
         raise InfeasibleSearchError("no feasible point on the 2-D grid", certificate={})
 
-    _, m, g0, b0, _, _ = best
+    _, m, g0, b0 = best
+
+    def objective_at(g: float, b_s: float) -> float:
+        return float(eval_points(m, np.array([g]), np.array([b_s]))[0][0])
 
     # Coordinate refinement: golden in g at fixed B_s, then in B_s at
     # fixed g.  The objective depends on h only, so one pass suffices.
     tracker = _BestTracker()
     tracker.offer(g0, best[0])
     if spec.g_fixed is None:
-        _golden_min(lambda g: eval_point(m, g, b0)[0],
+        _golden_min(lambda g: objective_at(g, b0),
                     spec.g_range.lo, spec.g_range.hi, spec.tol, tracker)
     g1 = tracker.x
     evals += tracker.evals
     tracker2 = _BestTracker()
     tracker2.offer(b0, tracker.value)
     if spec.b_s_fixed is None:
-        _golden_min(lambda b: eval_point(m, g1, b)[0],
+        _golden_min(lambda b: objective_at(g1, b),
                     spec.b_s_range.lo, spec.b_s_range.hi, spec.tol, tracker2)
     b1 = tracker2.x if tracker2.value <= tracker.value else b0
     evals += tracker2.evals
 
-    obj, c_f, w = eval_point(m, g1, b1)
+    obj, c_f, w = (float(a[0]) for a in eval_points(m, np.array([g1]), np.array([b1])))
     h = g1 * math.sqrt(b1 / 2.0)
     slack_map: dict[str, float] = {}
     active_map: dict[str, bool] = {}
@@ -571,16 +576,16 @@ def verify_statement1(
     against ``threshold`` (default: max(1e-6, tol), since a coarse
     refinement tolerance caps the achievable flatness).
 
-    The default model integrates with quad_tol=1e-12: near the m=2
-    small-h plateau the flatness differences are otherwise dominated by
-    quadrature noise.
+    The default model is :class:`ExactCoherentOrthogonal`, whose fixed
+    rule is smooth in h, so the minima differ by far less than 1e-6 even
+    on the m = 2 small-h plateau.
     """
     if g_range is None:
         g_range = GridRange(1e-4, 10.0, 48)
     if b_s_grid is None:
         b_s_grid = GridRange(0.1, 100.0, 13)
     if model is None:
-        model = ExactCoherentOrthogonal(quad_tol=1e-12)
+        model = ExactCoherentOrthogonal()
     if threshold is None:
         threshold = max(1e-6, tol)
 
@@ -588,8 +593,7 @@ def verify_statement1(
     for b_s in b_s_grid.log_grid():
         s = math.sqrt(b_s / 2.0)
         h_lo, h_hi = g_range.lo * s, g_range.hi * s
-        best = _optimize_over_h(lambda h: _w_of(m, h, model), h_lo, h_hi,
-                                g_range.points, tol)
+        best = _optimize_over_h(_w_of(m, model), h_lo, h_hi, g_range.points, tol)
         rows.append(FlatnessRow(
             b_s=b_s,
             h_min=best.x,
@@ -661,7 +665,7 @@ def verify_statement3(
     if model is None:
         model = ExactCoherentOrthogonal()
     h_lo, h_hi = h_window
-    best = _optimize_over_h(lambda h: _w_of(m, h, model), h_lo, h_hi, points, tol)
+    best = _optimize_over_h(_w_of(m, model), h_lo, h_hi, points, tol)
     h_star = best.x
 
     rows = []
@@ -708,18 +712,18 @@ def sweep_curves(
     """Criterion families over a base grid, one curve per (m, g) pair.
 
     Points with zero capacity get w = +inf (the power criterion diverges
-    at the uniform-guessing error rate).
+    at the uniform-guessing error rate).  Each m is one SER call over
+    every (g, B_s) of its curves.
     """
     if model is None:
         model = ExactCoherentOrthogonal()
     grid = b_s_grid.log_grid() if isinstance(b_s_grid, GridRange) else [float(b) for b in b_s_grid]
+    g_mesh, b_mesh = (a.ravel() for a in np.meshgrid(g_values, grid, indexing="ij"))
+    h = g_mesh * np.sqrt(b_mesh / 2.0)
     out = []
     for m in m_values:
-        for g in g_values:
-            for b_s in grid:
-                h = g * math.sqrt(b_s / 2.0)
-                c = _capacity_at(m, h, model)
-                c_f = 2.0 * c / b_s
-                w = math.inf if c <= 0.0 else h * h / c
-                out.append(CurvePoint(m=m, g=g, b_s=b_s, h=h, c_f=c_f, w=w))
+        c, w = _criteria_of_h(m, h, model)
+        c_f = 2.0 * c / b_mesh
+        out += [CurvePoint(m=m, g=g, b_s=b_s, h=hp, c_f=cf, w=wp) for g, b_s, hp, cf, wp
+                in zip(g_mesh.tolist(), b_mesh.tolist(), h.tolist(), c_f.tolist(), w.tolist())]
     return out

@@ -46,7 +46,7 @@ def test_criteria_point_matches_library():
     assert columns == ["m", "g", "b_s", "h", "p", "c_f", "w"]
     assert len(rows) == 1
     row = rows[0]
-    model = ExactCoherentOrthogonal(quad_tol=1e-10)
+    model = ExactCoherentOrthogonal()
     point = ChannelPoint(m=4, g=1.0, b_s=2.0)
     assert row["m"] == "4"
     assert float(row["h"]) == point.h
@@ -200,3 +200,12 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("mchan ")
+
+
+def test_import_loads_neither_scipy_nor_numpy_polynomial():
+    # Both would add to every CLI start: scipy.special alone costs ~0.5 s.
+    code = ("import sys, mchan; "
+            "print(sorted(m for m in ('scipy', 'numpy.polynomial') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
