@@ -14,7 +14,8 @@ throughput supremum is C_sup = 1 / (1 + v_inf).
 ``simulate_tdma`` cross-checks the limits with a discrete-event
 single-server queue: Poisson arrivals, service = packet duration plus
 ``v * M[tau]`` of overhead, measured over an exact busy/idle partition of
-the time axis between two packet completions.
+the time axis between two packet completions.  Completion times come from
+the max-plus form of Lindley's recursion, computed over whole arrays.
 
 ``allocate_identifiers`` hands out sets of m-sequence window identifiers
 proportionally to per-station activity: largest-remainder apportionment
@@ -241,6 +242,23 @@ def simulate_tdma(model: MacModel, config: SimConfig) -> SimResult:
     return SimResult(discipline=model.discipline, overhead=v, points=tuple(points))
 
 
+def _lindley(inter: np.ndarray, busy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Completion times and idle gaps of a FIFO single server that starts empty at t = 0.
+
+    Lindley's recursion finish[k] = max(A[k], finish[k-1]) + busy[k], with
+    arrivals A = cumsum(inter), unrolls in the max-plus algebra to
+    finish[k] = S[k] + max_{j <= k} (A[j] - S[j-1]) with S = cumsum(busy).
+    The idle gap before packet k is max(A[k] - finish[k-1], 0): exactly 0
+    whenever the packet queues, as in the recursion.
+    """
+    arrival = np.cumsum(inter)
+    work = np.cumsum(busy)
+    work_before = np.concatenate([[0.0], work[:-1]])
+    finish = work + np.maximum.accumulate(arrival - work_before)
+    idle = np.maximum(arrival - np.concatenate([[0.0], finish[:-1]]), 0.0)
+    return finish, idle
+
+
 def _run_load(model: MacModel, config: SimConfig, load: float, v: float,
               rng: np.random.Generator) -> LoadPoint:
     warm = config.warmup_packets
@@ -263,35 +281,17 @@ def _run_load(model: MacModel, config: SimConfig, load: float, v: float,
         attempts = np.ones(n_total)
     busy = attempts * (tau + v * tau_mean)
 
-    batch_useful = np.zeros(batches)
-    batch_end = np.zeros(batches)
-    sum_useful = 0.0
-    sum_overhead = 0.0
-    sum_idle = 0.0
-
-    arrival = 0.0
-    finish = 0.0
-    window_start = 0.0
-    for k in range(n_total):
-        arrival += inter[k]
-        start = arrival if arrival > finish else finish
-        idle = start - finish
-        finish = start + busy[k]
-        if k < warm:
-            if k == warm - 1:
-                window_start = finish
-            continue
-        i = k - warm
-        b = i // per_batch
-        batch_useful[b] += tau[k]
-        sum_useful += tau[k]
-        sum_overhead += busy[k] - tau[k]
-        sum_idle += idle
-        if i % per_batch == per_batch - 1:
-            batch_end[b] = finish
-    # With no warmup the window opens at t = 0 (window_start keeps its
-    # initial value); otherwise it opens at the last warmup completion.
-    window = batch_end[-1] - window_start
+    finish, idle = _lindley(inter, busy)
+    # With no warmup the window opens at t = 0; otherwise it opens at the
+    # last warmup completion.
+    window_start = float(finish[warm - 1]) if warm > 0 else 0.0
+    tau, busy, idle, finish = tau[warm:], busy[warm:], idle[warm:], finish[warm:]
+    batch_useful = np.add.reduceat(tau, np.arange(0, in_window, per_batch))
+    batch_end = finish[per_batch - 1::per_batch]
+    sum_useful = math.fsum(tau.tolist())
+    sum_overhead = math.fsum((busy - tau).tolist())
+    sum_idle = math.fsum(idle.tolist())
+    window = float(batch_end[-1]) - window_start
 
     starts = np.concatenate([[window_start], batch_end[:-1]])
     batch_windows = batch_end - starts
@@ -340,7 +340,7 @@ class StationAllocation:
     station: int
     share: float
     count: int
-    positions: tuple[int, ...]
+    positions: range  # contiguous window positions, len == count
     identifiers: tuple[int, ...]
 
 
@@ -449,13 +449,13 @@ def allocate_identifiers(requests, n: int, sequence: MSequence | None = None) ->
     allocations = []
     cursor = 0
     for station, share, count in placed:
-        positions = tuple(range(cursor, cursor + count))
-        idents = tuple(int(windows[p]) for p in positions)
         allocations.append(StationAllocation(
             station=station, share=share, count=count,
-            positions=positions, identifiers=idents,
+            positions=range(cursor, cursor + count),
+            identifiers=tuple(windows[cursor:cursor + count].tolist()),
         ))
         cursor += count
-    assert cursor == pool, "allocation must exhaust the identifier pool"
+    if cursor != pool:
+        raise RuntimeError(f"allocation placed {cursor} identifiers, pool has {pool}")
     allocations.sort(key=lambda a: a.station)
     return TokenAllocation(n=n, pool=pool, stations=tuple(allocations))

@@ -10,8 +10,12 @@ properties this package leans on:
 * the window property: every nonzero n-bit word appears exactly once as
   a cyclic window, which is what makes windows usable as identifiers.
 
-The generator measures the register period explicitly and refuses
-non-primitive feedback taps, so a wrong table entry cannot slip through.
+The generator extends the impulse response with whole-array XORs of
+earlier slices (the recurrence of f(x)**(2**k) = f(x**(2**k)) reaches
+2**k times further back, so each step can double the block it writes).
+It certifies the period from the register state at N and N/p for every
+prime p | N, and refuses non-primitive feedback taps, so a wrong table
+entry cannot slip through.
 """
 
 from __future__ import annotations
@@ -110,13 +114,18 @@ class MSequence:
 
     def window_values(self) -> np.ndarray:
         """All N cyclic window values as an int64 array (a permutation of 1..N)."""
-        n, N = self.n, self.period
-        bits = self.bits.astype(np.int64)
-        idx = np.arange(N)
-        vals = np.zeros(N, dtype=np.int64)
-        for i in range(n):
-            vals += bits[(idx - (n - 1) + i) % N] << (n - 1 - i)
-        return vals
+        n = self.n
+        return _window_values(np.concatenate([self.bits[self.period - n + 1:], self.bits]),
+                              n, self.period)
+
+
+def _window_values(bits: np.ndarray, n: int, count: int) -> np.ndarray:
+    """Values of the windows bits[j:j+n], oldest bit most significant, for j < count."""
+    vals = np.zeros(count, dtype=np.int32)  # n <= 24 bits; half the memory traffic of int64
+    for i in range(n):
+        vals <<= 1
+        vals |= bits[i:i + count]
+    return vals.astype(np.int64)
 
 
 def _check_degree(n: int) -> None:
@@ -124,6 +133,44 @@ def _check_degree(n: int) -> None:
         raise ValueError(
             f"register length must be an integer in [{MIN_DEGREE}, {MAX_DEGREE}], got {n!r}"
         )
+
+
+def _prime_factors(N: int) -> list[int]:
+    primes = []
+    p = 2
+    while p * p <= N:
+        if N % p == 0:
+            primes.append(p)
+            while N % p == 0:
+                N //= p
+        p += 1
+    if N > 1:
+        primes.append(N)
+    return primes
+
+
+def _impulse_response(n: int, lags: tuple[int, ...], length: int) -> np.ndarray:
+    """First ``length`` bits of b[j] = XOR over lags l of b[j - l], for j >= n.
+
+    The first n bits are the impulse 1, 0, ..., 0.
+
+    Squaring the feedback polynomial k times scales every lag by 2**k, and the
+    squared recurrence holds for j >= 2**k * n.  So once the known prefix is
+    L >= 2**k * n bits long, the next 2**k * min(lags) bits are one XOR of
+    earlier slices per lag.
+    """
+    b = np.zeros(length, dtype=np.uint8)
+    b[0] = 1
+    known = n
+    step = min(lags)
+    while known < length:
+        scale = 1 << ((known // n).bit_length() - 1)  # largest 2**k with 2**k * n <= known
+        stop = min(known + scale * step, length)
+        block = b[known:stop]
+        for lag in lags:
+            block ^= b[known - scale * lag:stop - scale * lag]
+        known = stop
+    return b
 
 
 def generate_msequence(n: int, taps: tuple[int, ...] | None = None) -> MSequence:
@@ -137,13 +184,15 @@ def generate_msequence(n: int, taps: tuple[int, ...] | None = None) -> MSequence
         Feedback polynomial exponents (must contain n; the constant term
         is implied).  Defaults to the built-in table.
 
-    The register is seeded with the impulse state and stepped until the
-    state recurs; a first return before 2**n - 1 steps means the
-    polynomial is not primitive and raises :class:`NonPrimitiveTapsError`
-    carrying the measured period.
-
-    Generation is a pure-Python register walk: microseconds for small n,
-    a few seconds at n = 24 (16.7M steps).
+    The register is seeded with the impulse state, and the bits are the
+    ones a register walk from that state outputs.  They are built by
+    doubling: the feedback polynomial f annihilates the sequence, so does
+    f(x)**(2**k) = f(x**(2**k)), and each block is a few whole-array XORs
+    of earlier slices (milliseconds at n = 20).  The polynomial is
+    primitive exactly when the impulse state recurs after N = 2**n - 1
+    steps and after no N/p steps for a prime p | N; when it is not, the
+    first return is measured and :class:`NonPrimitiveTapsError` carries
+    that period.
     """
     _check_degree(n)
     if taps is None:
@@ -154,30 +203,21 @@ def generate_msequence(n: int, taps: tuple[int, ...] | None = None) -> MSequence
     if taps[-1] < 1:
         raise ValueError(f"tap exponents must be >= 1 (constant term is implied), got {taps}")
 
-    # Feedback recurrence b[j] = XOR of b[j - (n - e)] over exponents e < n
-    # (including the implied e = 0).  The state packs the last n bits with
-    # the newest at bit 0, so lag n - e sits at bit position n - e - 1.
-    mask = 1 << (n - 1)  # e = 0
-    for e in taps[1:]:
-        mask |= 1 << (n - 1 - e)
-    full = (1 << n) - 1
+    # Feedback recurrence b[j] = XOR of b[j - (n - e)] over exponents e < n,
+    # including the implied e = 0.  The register state after s steps is the
+    # window b[s .. s+n-1]; the seed is the impulse.
+    N = (1 << n) - 1
+    b = _impulse_response(n, tuple(n - e for e in taps[1:] + (0,)), N + n)
+    seed = b[:n]
 
-    seed = 1 << (n - 1)  # impulse: b[0] = 1, b[1..n-1] = 0
-    target = (1 << n) - 1
-    out = np.empty(target, dtype=np.uint8)
-    state = seed
-    period = 0
-    for k in range(1 << n):
-        if k < target:
-            out[k] = (state >> (n - 1)) & 1
-        fb = (state & mask).bit_count() & 1
-        state = ((state << 1) | fb) & full
-        if state == seed:
-            period = k + 1
-            break
-    if period != target:
+    def recurs_after(s: int) -> bool:
+        return np.array_equal(b[s:s + n], seed)
+
+    if not recurs_after(N) or any(recurs_after(N // p) for p in _prime_factors(N)):
+        states = _window_values(b, n, N + 1)
+        period = 1 + int(np.argmax(states[1:] == states[0]))
         raise NonPrimitiveTapsError(n, taps, period)
-    bits = out
+    bits = b[:N]
     chips = (1 - 2 * bits.astype(np.int16)).astype(np.int8)
     return MSequence(n=n, taps=taps, bits=bits, chips=chips)
 
@@ -250,7 +290,7 @@ def distinct_msequences(n: int, count: int, taps: tuple[int, ...] | None = None)
                 used.add(coset)
                 derived = decimate(base, q)
                 if int(derived.chips.astype(np.int64).sum()) != -1:
-                    raise AssertionError(
+                    raise ValueError(
                         f"decimation by {q} lost the balance property (degree {n})"
                     )
                 out.append(derived)

@@ -136,6 +136,24 @@ def test_mac_allocate_output():
     assert sorted(ids) == list(range(1, 8))
 
 
+def test_mac_allocate_output_is_frozen():
+    proc = run_cli("mac", "allocate", "--n", "4", "--shares", "1:0.5,2:0.3,3:0.2")
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "# mchan 0.1.0\n"
+        "# command=mac allocate\n"
+        "# param format=csv\n"
+        "# param n=4\n"
+        "# param seed=0\n"
+        "# param shares=1:0.5,2:0.3,3:0.2\n"
+        "# result pool=15\n"
+        "station,share,count,first_position,identifiers\n"
+        "1,0.5,8,0,9|2|4|8|1|3|7|15\n"
+        "2,0.3,4,8,14|13|10|5\n"
+        "3,0.2,3,12,11|6|12\n"
+    )
+
+
 def test_surface_rerun_is_byte_identical(tmp_path):
     first = tmp_path / "surface.csv"
     again = tmp_path / "again.csv"

@@ -1,23 +1,90 @@
 """Access-control limits, the queueing cross-check, and identifier allocation."""
 
+import dataclasses
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mchan.mac import (
     MD1_OVERHEAD_CONSTANT,
+    LoadPoint,
     MacModel,
     OverSubscriptionError,
     SimConfig,
     TokenRequest,
+    _lindley,
     allocate_identifiers,
     geometric_entropy,
+    limits_for,
     md1_limits,
     mm1_limits,
     simulate_tdma,
 )
 from mchan.msequence import generate_msequence
+
+
+def loop_simulate(model, config):
+    """Reference simulator: Lindley's recursion one packet at a time."""
+    v = config.overhead if config.overhead is not None else limits_for(model).v_inf
+    children = np.random.SeedSequence(config.seed).spawn(len(config.loads))
+    return tuple(loop_run_load(model, config, load, v, np.random.default_rng(child))
+                 for load, child in zip(config.loads, children))
+
+
+def loop_run_load(model, config, load, v, rng):
+    warm = config.warmup_packets
+    batches = config.batches
+    per_batch = config.measure_packets // batches
+    in_window = per_batch * batches
+    n_total = warm + in_window
+    tau_mean = model.mean_packet_s
+    lam = load / (tau_mean * (1.0 + v))
+    inter = rng.exponential(1.0 / lam, size=n_total)
+    if model.discipline == "mm1":
+        tau = rng.geometric(model.p, size=n_total) / model.bit_rate
+    else:
+        tau = np.full(n_total, tau_mean)
+    if config.corruption_prob > 0.0:
+        attempts = rng.geometric(1.0 - config.corruption_prob, size=n_total).astype(np.float64)
+    else:
+        attempts = np.ones(n_total)
+    busy = attempts * (tau + v * tau_mean)
+
+    batch_useful = np.zeros(batches)
+    batch_end = np.zeros(batches)
+    sum_useful = sum_overhead = sum_idle = 0.0
+    arrival = finish = window_start = 0.0
+    for k in range(n_total):
+        arrival += inter[k]
+        start = arrival if arrival > finish else finish
+        idle = start - finish
+        finish = start + busy[k]
+        if k < warm:
+            if k == warm - 1:
+                window_start = finish
+            continue
+        i = k - warm
+        b = i // per_batch
+        batch_useful[b] += tau[k]
+        sum_useful += tau[k]
+        sum_overhead += busy[k] - tau[k]
+        sum_idle += idle
+        if i % per_batch == per_batch - 1:
+            batch_end[b] = finish
+    window = batch_end[-1] - window_start
+    starts = np.concatenate([[window_start], batch_end[:-1]])
+    batch_s = batch_useful / (batch_end - starts)
+    mean_s = float(np.mean(batch_s))
+    z = statistics.NormalDist().inv_cdf(0.5 + config.confidence / 2.0)
+    half = z * float(np.std(batch_s, ddof=1)) / math.sqrt(batches)
+    return LoadPoint(load=load, throughput=sum_useful / window, ci_low=mean_s - half,
+                     ci_high=mean_s + half, useful_time=sum_useful,
+                     overhead_time=sum_overhead, idle_time=sum_idle, window=window,
+                     packets=in_window, unstable=load >= 1.0)
 
 
 # ---------------------------------------------------------------- limits
@@ -143,6 +210,47 @@ def test_simulation_is_deterministic():
     assert simulate_tdma(model, config) == simulate_tdma(model, config)
 
 
+@pytest.mark.parametrize("discipline", ["mm1", "md1"])
+@pytest.mark.parametrize("case", [
+    dict(loads=(0.6, 1.3), warmup_packets=1000, measure_packets=8000, batches=8),
+    dict(loads=(0.4, 1.1), warmup_packets=0, measure_packets=4000, batches=5),
+    dict(loads=(0.7, 1.5), warmup_packets=300, measure_packets=5007, batches=10),
+    dict(loads=(0.5, 1.2), warmup_packets=500, measure_packets=6000, batches=6,
+         corruption_prob=0.3),
+], ids=["stable_and_unstable", "no_warmup", "remainder_dropped", "corruption"])
+def test_simulator_equals_the_packet_loop(discipline, case):
+    model = MacModel(discipline=discipline, mean_packet_bits=80.0)
+    config = SimConfig(seed=17, **case)
+    fast = simulate_tdma(model, config).points
+    slow = loop_simulate(model, config)
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        for field in dataclasses.fields(LoadPoint):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(y, bool) or field.name == "packets":
+                assert x == y, field.name
+            else:
+                assert x == pytest.approx(y, rel=1e-9, abs=0.0), field.name
+
+
+_gaps = st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=200)
+
+
+@settings(deadline=None)
+@given(_gaps, st.data())
+def test_max_plus_finish_equals_the_recursion(inter, data):
+    busy = data.draw(st.lists(st.floats(min_value=1e-3, max_value=1e3),
+                              min_size=len(inter), max_size=len(inter)))
+    finish, idle = _lindley(np.array(inter), np.array(busy))
+    arrival = done = 0.0
+    for k, (gap, work) in enumerate(zip(inter, busy)):
+        arrival += gap
+        start = max(arrival, done)
+        assert idle[k] == pytest.approx(start - done, rel=1e-9, abs=1e-9 * start)
+        done = start + work
+        assert finish[k] == pytest.approx(done, rel=1e-9, abs=0.0)
+
+
 def test_summary_reports_the_gap():
     model = MacModel(discipline="md1", mean_packet_bits=100.0)
     config = SimConfig(loads=(1.5,), warmup_packets=1000, measure_packets=20_000, seed=1)
@@ -221,6 +329,27 @@ def test_allocation_identifiers_come_from_the_window_map():
     assert station.count == 7
     expected = [seq.window_value(j) for j in station.positions]
     assert list(station.identifiers) == expected
+
+
+def test_allocation_positions_are_ranges():
+    alloc = allocate_identifiers({1: 0.5, 2: 0.3, 3: 0.2}, n=8)
+    cursor = 0
+    for station in sorted(alloc.stations, key=lambda a: a.positions.start):
+        assert isinstance(station.positions, range)
+        assert len(station.positions) == station.count == len(station.identifiers)
+        assert station.positions.start == cursor
+        cursor = station.positions.stop
+    assert cursor == alloc.pool
+
+
+def test_allocation_partitions_degree16_pool():
+    shares = {i: float(s) for i, s in enumerate(np.random.default_rng(3).uniform(0.1, 1.0, 40))}
+    alloc = allocate_identifiers(shares, n=16)
+    ids = np.concatenate([np.array(s.identifiers) for s in alloc.stations])
+    assert np.array_equal(np.sort(ids), np.arange(1, 2**16))
+    windows = generate_msequence(16).window_values()
+    for s in alloc.stations:
+        assert s.identifiers == tuple(windows[s.positions.start:s.positions.stop].tolist())
 
 
 def test_allocation_oversubscription():

@@ -16,6 +16,27 @@ from mchan.msequence import (
 )
 
 
+def register_walk(n, taps):
+    """Reference: step an n-stage Fibonacci register from the impulse state.
+
+    Returns (bits of the first 2**n - 1 steps, first return time of the seed
+    state).  The state packs the last n bits with the newest at bit 0.
+    """
+    mask = 1 << (n - 1)  # implied constant term
+    for e in taps[1:]:
+        mask |= 1 << (n - 1 - e)
+    full = (1 << n) - 1
+    seed = state = 1 << (n - 1)
+    bits = []
+    for k in range(1 << n):
+        if k < full:
+            bits.append((state >> (n - 1)) & 1)
+        state = ((state << 1) | ((state & mask).bit_count() & 1)) & full
+        if state == seed:
+            return bits, k + 1
+    raise AssertionError("an invertible register always returns to its seed")
+
+
 def test_degree3_classic_taps():
     seq = generate_msequence(3, taps=(3, 1))  # x^3 + x + 1
     assert seq.bits.tolist() == [1, 0, 0, 1, 0, 1, 1]
@@ -59,18 +80,49 @@ def test_period_balance_autocorrelation(n):
     assert set(r[1:].tolist()) == {-1}
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", [*range(2, 19), 20])
+def test_bits_equal_the_register_walk(n):
+    bits, period = register_walk(n, PRIMITIVE_TAPS[n])
+    assert period == 2**n - 1
+    assert generate_msequence(n).bits.tolist() == bits
+
+
+@pytest.mark.parametrize("taps", [(4, 2), (6, 3), (8, 4), (10, 3, 1), (12, 6), (16, 8)])
+def test_measured_period_equals_the_register_walk(taps):
+    # squares of lower-degree polynomials, and (10, 3, 1): x + 1 divides it, period 372
+    _, period = register_walk(taps[0], taps)
+    with pytest.raises(NonPrimitiveTapsError) as exc:
+        generate_msequence(taps[0], taps=taps)
+    assert exc.value.measured_period == period
+    assert period < 2 ** taps[0] - 1
+
+
+def test_primitive_reciprocal_taps_equal_the_register_walk():
+    for n in (9, 16, 17):
+        taps = reciprocal_taps(PRIMITIVE_TAPS[n])
+        bits, _ = register_walk(n, taps)
+        assert generate_msequence(n, taps=taps).bits.tolist() == bits
+
+
+def test_degree22_balance():
+    seq = generate_msequence(22)
+    assert seq.period == 2**22 - 1
+    assert int(seq.chips.astype(np.int64).sum()) == -1
+
+
+@pytest.mark.parametrize("n", [*range(3, 9), 12, 16, 20])
 def test_windows_are_a_permutation(n):
     seq = generate_msequence(n)
     vals = seq.window_values()
-    assert sorted(vals.tolist()) == list(range(1, 2**n))
+    assert vals.dtype == np.int64
+    assert np.array_equal(np.sort(vals), np.arange(1, 2**n))
 
 
 def test_window_value_matches_vectorised_form():
-    seq = generate_msequence(6)
-    vals = seq.window_values()
-    for j in (0, 1, 17, 62):
-        assert seq.window_value(j) == int(vals[j])
+    for n in (2, 6, 11):
+        seq = generate_msequence(n)
+        vals = seq.window_values()
+        assert vals.tolist() == [seq.window_value(j) for j in range(seq.period)]
 
 
 def test_reciprocal_taps():
