@@ -22,7 +22,13 @@ Reproducibility: each trial draws from its own child of
 numpy.random.SeedSequence(seed), so estimates are independent of trial
 chunking and identical across runs; sweeps that reuse one seed share the
 same error draws (common random numbers), which keeps monotone ladders
-monotone at finite trial counts.
+monotone at finite trial counts.  Surfaces and degree sweeps draw once
+per distinct (seed, trials, widths) and evaluate every point from those
+arrays, so each point equals the corresponding public estimate exactly.
+The children's PCG64 states are computed in bulk from SeedSequence's
+published hash rather than by ``spawn``; every call recomputes its first
+and last trial's state with NumPy itself and raises RuntimeError on any
+difference, so a NumPy change cannot silently alter an estimate.
 """
 
 from __future__ import annotations
@@ -172,7 +178,6 @@ class InterferingCell:
 
     ensemble: SignalEnsemble
     weight: float = 1.0  # received amplitude relative to the reference cell
-    path_loss_index: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.weight >= 0.0 and math.isfinite(self.weight)):
@@ -193,18 +198,6 @@ class CellLayout:
                 raise ValueError("all cells must share the chip count of the reference")
             if e.chip_duration != self.reference.chip_duration:
                 raise ValueError("all cells must share the chip duration of the reference")
-
-    @property
-    def mean_path_loss_index(self) -> float | None:
-        """Amplitude-weighted mean of the given path-loss indices."""
-        pairs = [(c.path_loss_index, c.weight) for c in self.interferers
-                 if c.path_loss_index is not None]
-        if not pairs:
-            return None
-        wsum = sum(w for _, w in pairs)
-        if wsum == 0.0:
-            return sum(a for a, _ in pairs) / len(pairs)
-        return sum(a * w for a, w in pairs) / wsum
 
 
 @dataclass(frozen=True)
@@ -235,49 +228,160 @@ def cross_correlation(ref_chips: np.ndarray, sig_chips: np.ndarray,
     return math.cos(phase_offset_rad) * float(np.dot(ref, shifted)) / L
 
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx) and PCG64's seeding
+# (pcg64.h, O'Neill 2014), used to seed every trial's child in bulk.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _child_state_words(seed: int, trials: int) -> list[np.ndarray]:
+    """``generate_state(8, uint32)`` of SeedSequence(seed, spawn_key=(t,)), t < trials.
+
+    One uint32 array per output word, one entry per trial: the
+    mix_entropy/generate_state hash run on all children at once.  The
+    seed words are zero-padded to the pool size and the spawn key t is
+    the last entropy word, exactly as SeedSequence assembles a child.
+    """
+    words = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(trials, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(e) for e in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(e))
+
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * np.uint32(hash_const)
+        out.append(value ^ (value >> _XSHIFT))
+    return out
+
+
+def _child_pcg64_states(seed: int, trials: int) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence(seed).spawn(trials)[t]) for every t.
+
+    ``spawn`` gives child t the spawn key (t,).  PCG64 reads
+    generate_state(4, uint64) as little-endian word pairs: initstate
+    from the first two, the stream from the last two, then
+    inc = (stream << 1) | 1 and state = (inc + initstate) * MULT + inc.
+    The first and last trial are recomputed by NumPy as a certificate.
+    """
+    w = _child_state_words(seed, trials)
+    w64 = [(w[2 * k].astype(np.uint64) | (w[2 * k + 1].astype(np.uint64) << np.uint64(32)))
+           .tolist() for k in range(4)]
+    states = []
+    for a, b, c, d in zip(*w64):
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, inc))
+    for t in {0, trials - 1}:
+        expect = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))).state["state"]
+        if expect != {"state": states[t][0], "inc": states[t][1]}:
+            raise RuntimeError(f"bulk PCG64 seeding disagrees with NumPy at seed={seed}, "
+                               f"trial {t}; the error draws cannot be trusted")
+    return states
+
+
 def _draw_errors(seed: int, trials: int, widths: list[int]):
     """Per-trial child-seeded draws: (timing z, phase y, lag u) per block.
 
     ``widths`` gives the number of interfering signals per block (one
-    block per cell); each trial consumes its draws block by block, so a
-    given (seed, layout) always sees the same numbers regardless of how
-    the estimate is assembled.
+    block per cell); each trial consumes its draws block by block (w
+    normals for z, w for y, w uniforms for u), so a given (seed, layout)
+    always sees the same numbers regardless of how the estimate is
+    assembled.  The two normal draws of a block are one ziggurat draw of
+    width 2w; one generator is reseeded per trial through its public
+    state.
     """
-    total = sum(widths)
-    z = np.empty((trials, total))
-    y = np.empty((trials, total))
-    u = np.empty((trials, total))
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for t, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        pos = 0
-        for w in widths:
-            z[t, pos:pos + w] = rng.standard_normal(w)
-            y[t, pos:pos + w] = rng.standard_normal(w)
-            u[t, pos:pos + w] = rng.random(w)
-            pos += w
-    return z, y, u
+    states = _child_pcg64_states(seed, trials)
+    gen = np.random.Generator(np.random.PCG64())
+    bitgen = gen.bit_generator
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    spans = []
+    z_cols, y_cols, u_cols = [], [], []
+    pos = 0
+    for w in widths:
+        spans.append((pos, pos + 2 * w, pos + 3 * w))
+        z_cols += range(pos, pos + w)
+        y_cols += range(pos + w, pos + 2 * w)
+        u_cols += range(pos + 2 * w, pos + 3 * w)
+        pos += 3 * w
+    buf = np.empty((trials, pos))
+    for row, (inner["state"], inner["inc"]) in zip(buf, states):
+        bitgen.state = state
+        for a, b, c in spans:
+            gen.standard_normal(out=row[a:b])
+            gen.random(out=row[b:c])
+    return (np.take(buf, z_cols, axis=1), np.take(buf, y_cols, axis=1),
+            np.take(buf, u_cols, axis=1))
 
 
-def _integer_lag_corr(ref: np.ndarray, sig: np.ndarray, lags: np.ndarray) -> dict[int, float]:
-    """Exact integer cyclic correlations R(d) = sum_k ref[k] sig[k+d] for given lags."""
-    ref64 = ref.astype(np.int64)
-    out = {}
-    for d in np.unique(lags):
-        out[int(d)] = float(np.dot(ref64, np.roll(sig, -int(d)).astype(np.int64)))
+def _draw_once(seed: int, trials: int):
+    """``_draw_errors`` for one (seed, trials), drawn once per distinct widths."""
+    cache = {}
+
+    def draw(widths):
+        key = tuple(widths)
+        if key not in cache:
+            cache[key] = _draw_errors(seed, trials, list(key))
+        return cache[key]
+    return draw
+
+
+def _lag_corr(ref: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """All-lag cyclic correlations, out[j, d] = sum_k ref[k] signals[j, (k+d) % L].
+
+    Chips are +/-1, so every entry is an integer of magnitude <= L; the
+    FFT product is rounded back to it, which makes the table exact.
+    Rows are transformed one signal at a time to keep peak memory flat
+    at long periods.
+    """
+    L = ref.size
+    fr = np.conj(np.fft.rfft(ref.astype(np.float64)))
+    out = np.empty((signals.shape[0], L))
+    for j, sig in enumerate(signals):
+        out[j] = np.rint(np.fft.irfft(fr * np.fft.rfft(sig.astype(np.float64)), L))
     return out
 
 
-def _full_lag_corr(ref: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """All-lag cyclic correlation via FFT: out[d] = sum_k ref[k] sig[(k+d) % L]."""
-    fr = np.fft.rfft(ref.astype(np.float64))
-    fs = np.fft.rfft(sig.astype(np.float64))
-    return np.fft.irfft(np.conj(fr) * fs, ref.size)
-
-
 def _check_trials(trials: int) -> None:
-    if not isinstance(trials, int) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+
+
+def _check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _pooled_estimate(ksq_blocks: list[np.ndarray], weights: list[float], T: float,
@@ -304,18 +408,17 @@ def _pooled_estimate(ksq_blocks: list[np.ndarray], weights: list[float], T: floa
     )
 
 
-def _ksq_for_block(ref: np.ndarray, signals: np.ndarray, z: np.ndarray, y: np.ndarray,
-                   u: np.ndarray, errors: SyncErrorModel, random_lag: bool) -> np.ndarray:
+def _ksq_for_block(table: np.ndarray, z: np.ndarray, y: np.ndarray, u: np.ndarray,
+                   errors: SyncErrorModel, random_lag: bool) -> np.ndarray:
     """Squared normalised correlations, one per (trial, signal).
 
-    Timing offsets are split into integer lag plus fractional chip; the
-    correlation at fractional offsets is the linear interpolation of the
-    exact integer-lag correlation function, evaluated here from
-    precomputed integer-lag values (identical to the reference
-    implementation, without rebuilding shifted signals per trial).
+    ``table`` is the ``_lag_corr`` table, one row per column of the
+    draws.  Timing offsets are split into integer lag plus fractional
+    chip; the correlation at fractional offsets is the linear
+    interpolation of the exact integer-lag correlation function, as in
+    ``cross_correlation``.
     """
-    L = ref.size
-    trials, count = z.shape
+    L = table.shape[1]
     offs = errors.timing_std_chips * z
     if random_lag:
         offs = offs + np.floor(u * L)
@@ -323,24 +426,57 @@ def _ksq_for_block(ref: np.ndarray, signals: np.ndarray, z: np.ndarray, y: np.nd
     f = offs - d
     d_int = d.astype(np.int64) % L
     d_next = (d_int + 1) % L
-    cos_term = np.cos(errors.phase_std_rad * y) if errors.phase_std_rad != 0.0 else 1.0
+    cols = np.arange(table.shape[0])
+    k = ((1.0 - f) * table[cols, d_int] + f * table[cols, d_next]) / L
+    if errors.phase_std_rad != 0.0:
+        k = np.cos(errors.phase_std_rad * y) * k
+    return k * k
 
-    ksq = np.empty((trials, count))
-    for j in range(count):
-        sig = signals[j]
-        if random_lag:
-            corr = _full_lag_corr(ref, sig)
-            c0 = corr[d_int[:, j]]
-            c1 = corr[d_next[:, j]]
-        else:
-            table = _integer_lag_corr(ref, sig, np.concatenate([d_int[:, j], d_next[:, j]]))
-            c0 = np.array([table[int(dd)] for dd in d_int[:, j]])
-            c1 = np.array([table[int(dd)] for dd in d_next[:, j]])
-        k = ((1.0 - f[:, j]) * c0 + f[:, j] * c1) / L
-        if errors.phase_std_rad != 0.0:
-            k = cos_term[:, j] * k
-        ksq[:, j] = k * k
-    return ksq
+
+def _intra_table(ensemble: SignalEnsemble, ref_index: int) -> np.ndarray:
+    """Lag table of the reference row against the cell's other rows."""
+    if not (0 <= ref_index < ensemble.n_signals):
+        raise ValueError(f"ref_index {ref_index} out of range")
+    others = np.delete(ensemble.signals, ref_index, axis=0)
+    return _lag_corr(ensemble.signals[ref_index], others)
+
+
+def _intra_power(table: np.ndarray, errors: SyncErrorModel, draw, T: float,
+                 trials: int) -> InterferenceEstimate:
+    """Intra-cell power from its lag table; ``draw(widths)`` supplies the errors."""
+    count, L = table.shape
+    if count == 0:
+        return InterferenceEstimate(power=0.0, std_error=0.0, trials=trials)
+    if errors.is_zero:
+        power = math.fsum(abs(r0) / L / T for r0 in table[:, 0].tolist())
+        return InterferenceEstimate(power=power, std_error=0.0, trials=trials)
+    z, y, u = draw([count])
+    ksq = _ksq_for_block(table, z, y, u, errors, random_lag=False)
+    return _pooled_estimate([ksq[:, j:j + 1] for j in range(count)], [1.0] * count, T, trials)
+
+
+def _inter_terms(layout: CellLayout, ref_index: int):
+    """(lag table over all interfering signals, signals per cell, cell weights)."""
+    ref_ens = layout.reference
+    if not (0 <= ref_index < ref_ens.n_signals):
+        raise ValueError(f"ref_index {ref_index} out of range")
+    widths = [cell.ensemble.n_signals for cell in layout.interferers]
+    weights = [cell.weight for cell in layout.interferers]
+    if not widths:
+        return np.empty((0, ref_ens.n_chips)), widths, weights
+    signals = np.concatenate([cell.ensemble.signals for cell in layout.interferers])
+    return _lag_corr(ref_ens.signals[ref_index], signals), widths, weights
+
+
+def _inter_power(table: np.ndarray, widths: list[int], weights: list[float],
+                 errors: SyncErrorModel, draw, T: float, trials: int) -> InterferenceEstimate:
+    """Inter-cell power from ``_inter_terms``; ``draw(widths)`` supplies the errors."""
+    if not widths:
+        return InterferenceEstimate(power=0.0, std_error=0.0, trials=trials)
+    z, y, u = draw(widths)
+    ksq = _ksq_for_block(table, z, y, u, errors, random_lag=True)
+    blocks = np.split(ksq, np.cumsum(widths)[:-1], axis=1)
+    return _pooled_estimate(blocks, weights, T, trials)
 
 
 def intra_cell_interference(ensemble: SignalEnsemble, errors: SyncErrorModel,
@@ -348,32 +484,15 @@ def intra_cell_interference(ensemble: SignalEnsemble, errors: SyncErrorModel,
     """Interference power from the other signals of the receiver's own cell.
 
     The cell is symbol-synchronous: the only lag is the timing jitter
-    itself.  With zero error widths the correlations are evaluated in
-    exact integer arithmetic, so an orthogonal ensemble yields exactly
-    0.0 rather than FFT dust.
+    itself.  With zero error widths the zero-lag correlations are read
+    from the exact integer lag table, so an orthogonal ensemble yields
+    exactly 0.0 rather than FFT dust.
     """
     _check_trials(trials)
-    if not (0 <= ref_index < ensemble.n_signals):
-        raise ValueError(f"ref_index {ref_index} out of range")
-    others = [j for j in range(ensemble.n_signals) if j != ref_index]
-    T = ensemble.symbol_duration
-    if not others:
-        return InterferenceEstimate(power=0.0, std_error=0.0, trials=trials)
-    ref = ensemble.signals[ref_index]
-    signals = ensemble.signals[others]
-
-    if errors.is_zero:
-        contributions = []
-        for j in range(signals.shape[0]):
-            r0 = float(np.dot(ref.astype(np.int64), signals[j].astype(np.int64)))
-            contributions.append(abs(r0) / ensemble.n_chips / T)
-        return InterferenceEstimate(power=math.fsum(contributions), std_error=0.0,
-                                    trials=trials)
-
-    z, y, u = _draw_errors(seed, trials, [len(others)])
-    ksq = _ksq_for_block(ref, signals, z, y, u, errors, random_lag=False)
-    blocks = [ksq[:, j:j + 1] for j in range(len(others))]
-    return _pooled_estimate(blocks, [1.0] * len(others), T, trials)
+    _check_seed(seed)
+    table = _intra_table(ensemble, ref_index)
+    return _intra_power(table, errors, _draw_once(seed, trials), ensemble.symbol_duration,
+                        trials)
 
 
 def inter_cell_interference(layout: CellLayout, errors: SyncErrorModel,
@@ -385,30 +504,10 @@ def inter_cell_interference(layout: CellLayout, errors: SyncErrorModel,
     cell contributes weight / T * sqrt(mean K**2) pooled over its signals.
     """
     _check_trials(trials)
-    ref_ens = layout.reference
-    if not (0 <= ref_index < ref_ens.n_signals):
-        raise ValueError(f"ref_index {ref_index} out of range")
-    if not layout.interferers:
-        return InterferenceEstimate(power=0.0, std_error=0.0, trials=trials)
-    ref = ref_ens.signals[ref_index]
-    T = ref_ens.symbol_duration
-
-    widths = [cell.ensemble.n_signals for cell in layout.interferers]
-    z, y, u = _draw_errors(seed, trials, widths)
-
-    blocks = []
-    weights = []
-    pos = 0
-    for cell, w in zip(layout.interferers, widths):
-        zc = z[:, pos:pos + w]
-        yc = y[:, pos:pos + w]
-        uc = u[:, pos:pos + w]
-        pos += w
-        ksq = _ksq_for_block(ref, cell.ensemble.signals, zc, yc, uc, errors,
-                             random_lag=True)
-        blocks.append(ksq)
-        weights.append(cell.weight)
-    return _pooled_estimate(blocks, weights, T, trials)
+    _check_seed(seed)
+    table, widths, weights = _inter_terms(layout, ref_index)
+    return _inter_power(table, widths, weights, errors, _draw_once(seed, trials),
+                        layout.reference.symbol_duration, trials)
 
 
 @dataclass(frozen=True)
@@ -425,10 +524,6 @@ class SurfaceResult:
     trials: int
     seed: int
 
-    def sinr_grid(self) -> np.ndarray:
-        """Points reshaped as (timing, phase) is not tracked; flat array of SINR dB."""
-        return np.array([p.sinr_db for p in self.points])
-
 
 def sinr_surface(timing_grid, phase_grid, *, ensemble: SignalEnsemble | None = None,
                  layout: CellLayout | None = None, noise_power_db: float = -113.101,
@@ -440,22 +535,29 @@ def sinr_surface(timing_grid, phase_grid, *, ensemble: SignalEnsemble | None = N
     intra-cell term, ``layout`` the inter-cell term (its reference
     ensemble is used for the intra term when ``ensemble`` is omitted);
     all grid points share one seed, so the surface varies only through
-    the error widths.
+    the error widths.  The errors are drawn and the lag tables built once;
+    every point equals the sum of the public per-point estimates exactly.
     """
     if ensemble is None and layout is None:
         raise ValueError("need an ensemble, a layout, or both")
+    _check_trials(trials)
+    _check_seed(seed)
     intra_ens = ensemble if ensemble is not None else layout.reference
+    intra_table = _intra_table(intra_ens, ref_index)
+    if layout is not None:
+        inter_table, widths, weights = _inter_terms(layout, ref_index)
+    draw = _draw_once(seed, trials)
     p_noise = 10.0 ** (noise_power_db / 10.0)
     points = []
     for et in timing_grid:
         for ep in phase_grid:
             errors = SyncErrorModel(timing_std_chips=float(et), phase_std_rad=float(ep))
             p_total = p_noise
-            p_total += intra_cell_interference(intra_ens, errors, trials, seed,
-                                               ref_index).power
+            p_total += _intra_power(intra_table, errors, draw, intra_ens.symbol_duration,
+                                    trials).power
             if layout is not None:
-                p_total += inter_cell_interference(layout, errors, trials, seed,
-                                                   ref_index).power
+                p_total += _inter_power(inter_table, widths, weights, errors, draw,
+                                        layout.reference.symbol_duration, trials).power
             points.append(SurfacePoint(
                 timing_std_chips=float(et),
                 phase_std_rad=float(ep),
@@ -474,13 +576,17 @@ def degree_interference_sweep(degrees, trials: int, seed: int, signals_per_cell:
     the interferer an inequivalent decimation; both cells run
     ``signals_per_cell`` cyclic shifts.  Longer sequences dilute the
     random-lag correlations, so the power falls with n.  Returns rows
-    (n, power, std_error); all degrees share the seed (common random
-    numbers).
+    (n, power, std_error); all degrees share the seed and one set of error
+    draws (common random numbers), and each row equals the public
+    ``inter_cell_interference`` estimate exactly.
     """
     from mchan.msequence import distinct_msequences
 
+    _check_trials(trials)
+    _check_seed(seed)
     if errors is None:
         errors = SyncErrorModel()
+    draw = _draw_once(seed, trials)
     rows = []
     for n in degrees:
         own, other = distinct_msequences(n, 2)
@@ -490,6 +596,7 @@ def degree_interference_sweep(degrees, trials: int, seed: int, signals_per_cell:
                                                cell_id=1)
         layout = CellLayout(reference=ref_ens,
                             interferers=(InterferingCell(ensemble=int_ens, weight=1.0),))
-        est = inter_cell_interference(layout, errors, trials, seed)
+        est = _inter_power(*_inter_terms(layout, 0), errors, draw, ref_ens.symbol_duration,
+                           trials)
         rows.append((int(n), est.power, est.std_error))
     return rows

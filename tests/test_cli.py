@@ -154,6 +154,45 @@ def test_mac_allocate_output_is_frozen():
     )
 
 
+def test_intra_surface_output_is_frozen():
+    proc = run_cli("interference", "--mode", "surface", "--degree", "3", "--rows", "4",
+                   "--grid", "3x3", "--trials", "50", "--seed", "5")
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "# mchan 0.1.0\n"
+        "# command=interference\n"
+        "# param degree=3\n"
+        "# param ephi_max=1.0\n"
+        "# param et_max=0.5\n"
+        "# param format=csv\n"
+        "# param grid=3x3\n"
+        "# param inter_cells=0\n"
+        "# param inter_weight=0.5\n"
+        "# param mode=surface\n"
+        "# param noise_db=-113.101\n"
+        "# param rows=4\n"
+        "# param seed=5\n"
+        "# param trials=50\n"
+        "# result corner_sinr_db=113.101\n"
+        "eps_t,eps_phi,sinr_db\n"
+        "0.0,0.0,113.101\n"
+        "0.0,0.5,113.101\n"
+        "0.0,1.0,113.101\n"
+        "0.25,0.0,14.554616635086933\n"
+        "0.25,0.5,14.990405106290787\n"
+        "0.25,1.0,15.915034709245274\n"
+        "0.5,0.0,11.712081106446703\n"
+        "0.5,0.5,12.170565191351809\n"
+        "0.5,1.0,13.139667674094133\n"
+    )
+
+
+def test_negative_seed_is_a_usage_error():
+    proc = run_cli("interference", "--mode", "surface", "--degree", "3", "--seed", "-1")
+    assert proc.returncode == 2
+    assert "seed must be a non-negative integer" in proc.stderr
+
+
 def test_surface_rerun_is_byte_identical(tmp_path):
     first = tmp_path / "surface.csv"
     again = tmp_path / "again.csv"
