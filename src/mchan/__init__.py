@@ -22,117 +22,44 @@ mac
     Distributed-MAC overhead limits, TDMA simulator, token allocator.
 """
 
-from mchan.channel import (
-    ChannelPoint,
-    ExactCoherentOrthogonal,
-    SerModel,
-    TableSer,
-    UnionBound,
-    capacity_bits_per_symbol,
-    continuous_capacity,
-    q_function,
-    ser,
-)
-from mchan.criteria import (
-    CriterionValue,
-    LinkBudget,
-    NoiseSpec,
-    cell_radius,
-    icce,
-    icie,
-    icpe,
-    icpe_joule_forms,
-    icse,
-)
-from mchan.extremum import (
-    ExtremumResult,
-    ExtremumSpec,
-    GridRange,
-    InfeasibleSearchError,
-    maximize_icse,
-    minimize_icpe,
-    sweep_curves,
-    verify_statement1,
-    verify_statement3,
-)
-from mchan.interference import (
-    CellLayout,
-    InterferingCell,
-    SignalEnsemble,
-    SyncErrorModel,
-    cross_correlation,
-    inter_cell_interference,
-    intra_cell_interference,
-    sinr_surface,
-)
-from mchan.mac import (
-    MacModel,
-    SimConfig,
-    TokenAllocation,
-    allocate_identifiers,
-    geometric_entropy,
-    md1_limits,
-    mm1_limits,
-    simulate_tdma,
-)
-from mchan.msequence import (
-    MSequence,
-    NonPrimitiveTapsError,
-    distinct_msequences,
-    generate_msequence,
-    periodic_autocorrelation,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelPoint",
-    "ExactCoherentOrthogonal",
-    "SerModel",
-    "TableSer",
-    "UnionBound",
-    "capacity_bits_per_symbol",
-    "continuous_capacity",
-    "q_function",
-    "ser",
-    "CriterionValue",
-    "LinkBudget",
-    "NoiseSpec",
-    "cell_radius",
-    "icce",
-    "icie",
-    "icpe",
-    "icpe_joule_forms",
-    "icse",
-    "ExtremumResult",
-    "ExtremumSpec",
-    "GridRange",
-    "InfeasibleSearchError",
-    "maximize_icse",
-    "minimize_icpe",
-    "sweep_curves",
-    "verify_statement1",
-    "verify_statement3",
-    "CellLayout",
-    "InterferingCell",
-    "SignalEnsemble",
-    "SyncErrorModel",
-    "cross_correlation",
-    "inter_cell_interference",
-    "intra_cell_interference",
-    "sinr_surface",
-    "MacModel",
-    "SimConfig",
-    "TokenAllocation",
-    "allocate_identifiers",
-    "geometric_entropy",
-    "md1_limits",
-    "mm1_limits",
-    "simulate_tdma",
-    "MSequence",
-    "NonPrimitiveTapsError",
-    "distinct_msequences",
-    "generate_msequence",
-    "periodic_autocorrelation",
-    "__version__",
-]
+# Each layer and the names it exports.  They are imported on first access
+# (PEP 562), so `import mchan`, and with it every CLI start, loads no layer
+# and no numpy until a name from one is used.
+_LAZY = {
+    "channel": ("ChannelPoint", "ExactCoherentOrthogonal", "SerModel", "TableSer",
+                "UnionBound", "capacity_bits_per_symbol", "continuous_capacity",
+                "q_function", "ser"),
+    "criteria": ("CriterionValue", "LinkBudget", "NoiseSpec", "cell_radius", "icce",
+                 "icie", "icpe", "icpe_joule_forms", "icse"),
+    "extremum": ("ExtremumResult", "ExtremumSpec", "GridRange", "InfeasibleSearchError",
+                 "maximize_icse", "minimize_icpe", "sweep_curves", "verify_statement1",
+                 "verify_statement3"),
+    "interference": ("CellLayout", "InterferingCell", "SignalEnsemble", "SyncErrorModel",
+                     "cross_correlation", "inter_cell_interference",
+                     "intra_cell_interference", "sinr_surface"),
+    "mac": ("MacModel", "SimConfig", "TokenAllocation", "allocate_identifiers",
+            "geometric_entropy", "md1_limits", "mm1_limits", "simulate_tdma"),
+    "msequence": ("MSequence", "NonPrimitiveTapsError", "distinct_msequences",
+                  "generate_msequence", "periodic_autocorrelation"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_LAZY})

@@ -22,56 +22,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 
-import numpy as np
-
 from mchan import __version__
-from mchan.channel import (
-    ChannelDomainError,
-    ChannelPoint,
-    ExactCoherentOrthogonal,
-    QuadratureError,
-    UnionBound,
-    ser,
-)
-from mchan.criteria import (
-    LinkBudget,
-    NoiseSpec,
-    UndefinedCriterionError,
-    cell_radius,
-    icce,
-    icpe,
-    icpe_joule_forms,
-    icse,
-)
-from mchan.extremum import (
-    ExtremumSpec,
-    GridRange,
-    InfeasibleSearchError,
-    maximize_icse,
-    minimize_icpe,
-    sweep_curves,
-    verify_statement1,
-    verify_statement3,
-)
-from mchan.interference import (
-    CellLayout,
-    InterferingCell,
-    SignalEnsemble,
-    degree_interference_sweep,
-    sinr_surface,
-)
-from mchan.mac import (
-    MacModel,
-    OverSubscriptionError,
-    SimConfig,
-    allocate_identifiers,
-    limits_for,
-    simulate_tdma,
-)
-from mchan.msequence import distinct_msequences, generate_msequence
+
+# Each handler imports the layers it calls, so a process pays the start-up
+# cost (numpy included) only of the layers its subcommand runs.
 
 __all__ = ["main"]
 
@@ -98,7 +56,9 @@ def _ints_csv(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _range_spec(text: str) -> GridRange:
+def _range_spec(text: str):
+    from mchan.extremum import GridRange
+
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected lo:hi:points, got {text!r}")
@@ -140,14 +100,16 @@ def _fmt(v) -> str:
     """Round-trippable text for a parameter value."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, numbers.Integral):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, numbers.Real):
         return repr(float(v))
-    if isinstance(v, GridRange):
-        return f"{v.lo!r}:{v.hi!r}:{v.points}"
     if isinstance(v, tuple):
         return ",".join(_fmt(x) for x in v)
+    from mchan.extremum import GridRange  # loaded already if v is one
+
+    if isinstance(v, GridRange):
+        return f"{v.lo!r}:{v.hi!r}:{v.points}"
     return str(v)
 
 
@@ -168,9 +130,9 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, numbers.Integral):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, numbers.Real):
         return repr(float(v))
     return str(v)
 
@@ -178,9 +140,9 @@ def _cell(v) -> str:
 def _native(v):
     if v is None or isinstance(v, (bool, int, str)):
         return v
-    if isinstance(v, np.integer):
+    if isinstance(v, numbers.Integral):
         return int(v)
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, numbers.Real):
         f = float(v)
         return f if math.isfinite(f) else repr(f)
     return str(v)
@@ -238,9 +200,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     po.add_argument("--m", type=int, default=None, help="fix the ensemble size")
     po.add_argument("--m-set", type=_ints_csv, default=(2, 4, 8, 16, 32, 64))
     po.add_argument("--g", type=float, default=None, help="fix the amplitude")
-    po.add_argument("--g-range", type=_range_spec, default=GridRange(1e-2, 1e1, 64))
+    po.add_argument("--g-range", type=_range_spec, default="0.01:10.0:64")
     po.add_argument("--bs", dest="b_s", type=float, default=None, help="fix the base")
-    po.add_argument("--bs-range", type=_range_spec, default=GridRange(1e-1, 1e3, 64))
+    po.add_argument("--bs-range", type=_range_spec, default="0.1:1000.0:64")
     po.add_argument("--cf-min", type=float, default=None, help="ICSE floor constraint")
     po.add_argument("--w-cap", type=float, default=None, help="ICPE ceiling constraint")
     po.add_argument("--band-eps", type=float, default=None,
@@ -319,6 +281,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _cmd_criteria(args):
+    from mchan.channel import ChannelPoint, ExactCoherentOrthogonal, UnionBound, ser
+    from mchan.criteria import (LinkBudget, NoiseSpec, UndefinedCriterionError, cell_radius,
+                                icce, icpe, icpe_joule_forms, icse)
+
     params = {"ser": args.ser, "seed": _fmt(args.seed), "format": args.format}
     model = ExactCoherentOrthogonal() if args.ser == "exact" else UnionBound()
 
@@ -327,6 +293,8 @@ def _cmd_criteria(args):
         g_list = args.g_list if args.g_list else ((args.g,) if args.g else None)
         if not m_list or not g_list:
             raise UsageError("sweep mode needs --m-list/--m and --g-list/--g")
+        from mchan.extremum import sweep_curves
+
         params.update({"sweep_bs": _fmt(args.sweep_bs), "m_list": _fmt(tuple(m_list)),
                        "g_list": _fmt(tuple(g_list))})
         points = sweep_curves(m_list, g_list, args.sweep_bs, model)
@@ -374,6 +342,10 @@ def _cmd_criteria(args):
 
 
 def _cmd_optimize(args):
+    from mchan.channel import ExactCoherentOrthogonal
+    from mchan.extremum import (ExtremumSpec, maximize_icse, minimize_icpe, verify_statement1,
+                                verify_statement3)
+
     model = ExactCoherentOrthogonal()
     params = {"tol": _fmt(args.tol), "seed": _fmt(args.seed), "format": args.format}
 
@@ -409,7 +381,7 @@ def _cmd_optimize(args):
     params.update({"objective": args.objective, "method": args.method,
                    "m_set": _fmt(args.m_set), "g_range": _fmt(args.g_range),
                    "bs_range": _fmt(args.bs_range)})
-    for name, val in (("m", args.m), ("g", args.g), ("bs", args.b_s),
+    for name, val in (("m", args.m), ("g", args.g), ("b_s", args.b_s),
                       ("cf_min", args.cf_min), ("w_cap", args.w_cap),
                       ("band_eps", args.band_eps)):
         if val is not None:
@@ -444,6 +416,12 @@ def _cmd_optimize(args):
 
 
 def _cmd_interference(args):
+    import numpy as np
+
+    from mchan.interference import (CellLayout, InterferingCell, SignalEnsemble,
+                                    degree_interference_sweep, sinr_surface)
+    from mchan.msequence import distinct_msequences, generate_msequence
+
     params = {"mode": args.mode, "trials": _fmt(args.trials), "seed": _fmt(args.seed),
               "format": args.format}
 
@@ -484,12 +462,16 @@ def _cmd_interference(args):
     return params, {"corner_sinr_db": _fmt(corner)}, ("eps_t", "eps_phi", "sinr_db"), rows
 
 
-def _mac_model(args) -> MacModel:
+def _mac_model(args):
+    from mchan.mac import MacModel
+
     return MacModel(discipline=args.discipline, mean_packet_bits=args.length_bits,
                     bit_rate=args.bit_rate, geometric_p=args.geom_p)
 
 
 def _cmd_mac_limits(args):
+    from mchan.mac import limits_for
+
     params = {"discipline": args.discipline, "length_bits": _fmt(args.length_bits),
               "bit_rate": _fmt(args.bit_rate), "seed": _fmt(args.seed),
               "format": args.format}
@@ -504,6 +486,8 @@ def _cmd_mac_limits(args):
 
 
 def _cmd_mac_simulate(args):
+    from mchan.mac import SimConfig, limits_for, simulate_tdma
+
     params = {"discipline": args.discipline, "length_bits": _fmt(args.length_bits),
               "bit_rate": _fmt(args.bit_rate), "loads": _fmt(args.loads),
               "packets": _fmt(args.packets), "warmup": _fmt(args.warmup),
@@ -530,6 +514,8 @@ def _cmd_mac_simulate(args):
 
 
 def _cmd_mac_allocate(args):
+    from mchan.mac import allocate_identifiers
+
     params = {"n": _fmt(args.n), "shares": _fmt_shares(args.shares),
               "seed": _fmt(args.seed), "format": args.format}
     allocation = allocate_identifiers(args.shares, args.n)
@@ -603,9 +589,7 @@ def _apply_config(sub: argparse.ArgumentParser, cfg: dict[str, str], path: str) 
         action = by_dest.get(key)
         if action is None:
             raise UsageError(f"{path}: unknown parameter {key!r} for this command")
-        if isinstance(action, argparse._StoreTrueAction):
-            action.default = value.lower() == "true"
-        elif action.type is not None:
+        if action.type is not None:
             try:
                 action.default = action.type(value)
             except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -666,19 +650,21 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    except InfeasibleSearchError as exc:
+    except ArithmeticError as exc:  # QuadratureError, UndefinedCriterionError
+        sys.stderr.write(f"numerical failure: {exc}\n")
+        return 4
+    except ValueError as exc:  # UsageError, ChannelDomainError, OverSubscriptionError, ...
+        from mchan.extremum import InfeasibleSearchError
+
+        if not isinstance(exc, InfeasibleSearchError):
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
         sys.stderr.write(f"infeasible: {exc}\n")
         if exc.certificate:
             cert = {k: _native(v) for k, v in exc.certificate.items()}
             sys.stderr.write("nearest-feasible certificate: "
                              + json.dumps(cert, sort_keys=True) + "\n")
         return 3
-    except (QuadratureError, UndefinedCriterionError, ArithmeticError) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 4
-    except (UsageError, ChannelDomainError, OverSubscriptionError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
 
 
 if __name__ == "__main__":

@@ -26,12 +26,16 @@ blocks by recursive near-equal-weight splitting.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy, statistics and the m-sequence layer are imported by the functions
+# that use them, so that `mchan mac limits` starts on the standard library
+# alone: the CLI start is most of that command's time.
+if TYPE_CHECKING:
+    import numpy as np
 
-from mchan.msequence import MSequence, generate_msequence
+    from mchan.msequence import MSequence
 
 __all__ = [
     "MD1_OVERHEAD_CONSTANT",
@@ -233,6 +237,8 @@ def simulate_tdma(model: MacModel, config: SimConfig) -> SimResult:
     Each position in the load grid gets its own SeedSequence child, so
     per-load streams never overlap.
     """
+    import numpy as np
+
     v = config.overhead if config.overhead is not None else limits_for(model).v_inf
     children = np.random.SeedSequence(config.seed).spawn(len(config.loads))
     points = []
@@ -251,6 +257,8 @@ def _lindley(inter: np.ndarray, busy: np.ndarray) -> tuple[np.ndarray, np.ndarra
     The idle gap before packet k is max(A[k] - finish[k-1], 0): exactly 0
     whenever the packet queues, as in the recursion.
     """
+    import numpy as np
+
     arrival = np.cumsum(inter)
     work = np.cumsum(busy)
     work_before = np.concatenate([[0.0], work[:-1]])
@@ -261,6 +269,10 @@ def _lindley(inter: np.ndarray, busy: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _run_load(model: MacModel, config: SimConfig, load: float, v: float,
               rng: np.random.Generator) -> LoadPoint:
+    import statistics
+
+    import numpy as np
+
     warm = config.warmup_packets
     measured = config.measure_packets
     batches = config.batches
@@ -410,6 +422,8 @@ def allocate_identifiers(requests, n: int, sequence: MSequence | None = None) ->
         raise ValueError("station ids must be unique")
 
     if sequence is None:
+        from mchan.msequence import generate_msequence
+
         sequence = generate_msequence(n)
     if sequence.n != n:
         raise ValueError(f"sequence degree {sequence.n} does not match n={n}")

@@ -8,9 +8,15 @@ import sys
 
 import pytest
 
+import numpy as np
+
+import mchan
 import mchan.cli as cli
-from mchan.channel import ChannelPoint, ExactCoherentOrthogonal, QuadratureError, ser
-from mchan.criteria import icpe, icse
+from mchan.channel import (ChannelDomainError, ChannelPoint, ExactCoherentOrthogonal,
+                           QuadratureError, ser)
+from mchan.criteria import UndefinedCriterionError, icpe, icse
+from mchan.extremum import GridRange
+from mchan.mac import OverSubscriptionError
 
 
 def run_cli(*argv, env_extra=None):
@@ -100,14 +106,19 @@ def test_infeasible_search_exits_3_with_certificate():
     assert cert["margin"] < 0
 
 
-def test_numerical_failure_exits_4(monkeypatch, capsys):
+@pytest.mark.parametrize("error, code, prefix", [
+    (QuadratureError("integral did not converge"), 4, "numerical failure: "),
+    (UndefinedCriterionError("w undefined at h = 0"), 4, "numerical failure: "),
+    (ChannelDomainError("b_s must be > 0"), 2, "error: "),
+    (OverSubscriptionError("9 stations but only 7 identifiers"), 2, "error: "),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_raised_errors_map_to_exit_codes(monkeypatch, capsys, error, code, prefix):
     def boom(args):
-        raise QuadratureError("integral did not converge")
+        raise error
 
     monkeypatch.setitem(cli._HANDLERS, "criteria", boom)
-    code = cli.main(["criteria", "--m", "4", "--g", "1.0", "--bs", "2.0"])
-    assert code == 4
-    assert "numerical failure" in capsys.readouterr().err
+    assert cli.main(["criteria", "--m", "4", "--g", "1.0", "--bs", "2.0"]) == code
+    assert capsys.readouterr().err == f"{prefix}{error}\n"
 
 
 def test_seed_env_default():
@@ -193,33 +204,26 @@ def test_negative_seed_is_a_usage_error():
     assert "seed must be a non-negative integer" in proc.stderr
 
 
-def test_surface_rerun_is_byte_identical(tmp_path):
-    first = tmp_path / "surface.csv"
+@pytest.mark.parametrize("argv", [
+    ("interference", "--mode", "surface", "--degree", "3", "--rows", "4",
+     "--grid", "3x3", "--trials", "50", "--seed", "5"),
+    ("mac", "simulate", "--discipline", "mm1", "--length-bits", "64",
+     "--loads", "0.5,1.2", "--packets", "2000", "--warmup", "200",
+     "--batches", "4", "--seed", "9"),
+    ("optimize", "--m", "4", "--bs", "2.0", "--tol", "1e-4"),
+    ("optimize", "--m", "4", "--g", "1.0", "--tol", "1e-4"),
+], ids=("surface", "simulate", "optimize_bs", "optimize_g"))
+def test_rerun_from_header_is_byte_identical(tmp_path, argv):
+    first = tmp_path / "first.csv"
     again = tmp_path / "again.csv"
     cfg = tmp_path / "rerun.cfg"
-    proc = run_cli("interference", "--mode", "surface", "--degree", "3", "--rows", "4",
-                   "--grid", "3x3", "--trials", "50", "--seed", "5",
-                   "--out", str(first))
+    proc = run_cli(*argv, "--out", str(first))
     assert proc.returncode == 0
     params = header_params(first.read_text())
     cfg.write_text("".join(f"{k}={v}\n" for k, v in params.items()))
-    proc = run_cli("interference", "--config", str(cfg), "--out", str(again))
-    assert proc.returncode == 0
-    assert first.read_bytes() == again.read_bytes()
-
-
-def test_simulate_rerun_is_byte_identical(tmp_path):
-    first = tmp_path / "sim.csv"
-    again = tmp_path / "again.csv"
-    cfg = tmp_path / "rerun.cfg"
-    proc = run_cli("mac", "simulate", "--discipline", "mm1", "--length-bits", "64",
-                   "--loads", "0.5,1.2", "--packets", "2000", "--warmup", "200",
-                   "--batches", "4", "--seed", "9", "--out", str(first))
-    assert proc.returncode == 0
-    params = header_params(first.read_text())
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in params.items()))
-    proc = run_cli("mac", "simulate", "--config", str(cfg), "--out", str(again))
-    assert proc.returncode == 0
+    tokens = argv[:2] if argv[0] == "mac" else argv[:1]
+    proc = run_cli(*tokens, "--config", str(cfg), "--out", str(again))
+    assert proc.returncode == 0, proc.stderr
     assert first.read_bytes() == again.read_bytes()
 
 
@@ -259,10 +263,82 @@ def test_version_flag():
     assert proc.stdout.startswith("mchan ")
 
 
-def test_import_loads_neither_scipy_nor_numpy_polynomial():
+def loaded_modules(code: str, *argv: str) -> set[str]:
+    """Modules a fresh interpreter holds after running ``code`` with ``argv``."""
+    code += "\nimport sys\nsys.stderr.write('\\n' + ' '.join(sorted(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+# `python -m mchan ARGS`, in-process so that sys.modules can be read after it.
+RUN_MCHAN = ("import runpy\n"
+             "try:\n"
+             "    runpy.run_module('mchan', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    assert exc.code == 0, exc.code\n")
+
+
+def test_layers_load_neither_scipy_nor_numpy_polynomial():
     # Both would add to every CLI start: scipy.special alone costs ~0.5 s.
-    code = ("import sys, mchan; "
-            "print(sorted(m for m in ('scipy', 'numpy.polynomial') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "[]"
+    loaded = loaded_modules("from mchan import *")
+    assert {f"mchan.{m}" for m in mchan._LAZY} <= loaded
+    assert not {"scipy", "numpy.polynomial"} & loaded
+
+
+def test_import_mchan_loads_no_layer_and_no_numpy():
+    loaded = loaded_modules("import mchan")
+    assert not [m for m in loaded if m.startswith("mchan.") or m.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--version",),
+    ("mac", "limits", "--discipline", "mm1", "--length-bits", "1000"),
+], ids=("version", "mac_limits"))
+def test_light_commands_start_without_numpy(argv):
+    assert "numpy" not in loaded_modules(RUN_MCHAN, *argv)
+
+
+def test_criteria_point_loads_only_its_layers():
+    loaded = loaded_modules(RUN_MCHAN, "criteria", "--m", "4", "--g", "1.0", "--bs", "2.0")
+    assert {"mchan.channel", "mchan.criteria"} <= loaded
+    skipped = {"mchan.extremum", "mchan.interference", "mchan.mac", "mchan.msequence"}
+    assert not skipped & loaded
+
+
+def test_lazy_exports_are_their_home_objects():
+    for name in mchan.__all__:
+        obj = getattr(mchan, name)
+        if name != "__version__":
+            assert getattr(sys.modules[obj.__module__], name) is obj
+    namespace = {}
+    exec("from mchan import *", namespace)
+    assert set(mchan.__all__) <= set(namespace)
+    assert set(mchan.__all__) <= set(dir(mchan))
+    assert mchan.__getattr__("mac") is sys.modules["mchan.mac"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mchan.no_such_name
+
+
+@pytest.mark.parametrize("value, fmt, cell, native", [
+    (np.int64(7), "7", "7", 7),
+    (np.float32(0.1), "0.10000000149011612", "0.10000000149011612", 0.10000000149011612),
+    (np.float64(0.1), "0.1", "0.1", 0.1),
+    (True, "true", "true", True),
+    (False, "false", "false", False),
+    (3, "3", "3", 3),
+    (2.5, "2.5", "2.5", 2.5),
+    (math.inf, "inf", "inf", "inf"),
+    (-math.inf, "-inf", "-inf", "-inf"),
+    (math.nan, "nan", "nan", "nan"),
+    (np.float64(np.nan), "nan", "nan", "nan"),
+    (GridRange(0.01, 10.0, 64), "0.01:10.0:64", "GridRange(lo=0.01, hi=10.0, points=64)",
+     "GridRange(lo=0.01, hi=10.0, points=64)"),
+    (None, "None", "", None),
+    ((1, 2.5), "1,2.5", "(1, 2.5)", "(1, 2.5)"),
+])
+def test_formatters_are_frozen(value, fmt, cell, native):
+    assert cli._fmt(value) == fmt
+    assert cli._cell(value) == cell
+    got = cli._native(value)
+    assert got == native and type(got) is type(native)
