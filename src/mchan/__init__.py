@@ -30,11 +30,10 @@ __version__ = "0.1.0"
 # (PEP 562), so `import mchan`, and with it every CLI start, loads no layer
 # and no numpy until a name from one is used.
 _LAZY = {
-    "channel": ("ChannelPoint", "ExactCoherentOrthogonal", "SerModel", "TableSer",
-                "UnionBound", "capacity_bits_per_symbol", "continuous_capacity",
-                "q_function", "ser"),
-    "criteria": ("CriterionValue", "LinkBudget", "NoiseSpec", "cell_radius", "icce",
-                 "icie", "icpe", "icpe_joule_forms", "icse"),
+    "channel": ("ChannelPoint", "ExactCoherentOrthogonal", "SerModel", "UnionBound",
+                "capacity_bits_per_symbol", "q_function", "ser"),
+    "criteria": ("LinkBudget", "NoiseSpec", "cell_radius", "icce", "icie", "icpe",
+                 "icpe_joule_forms", "icse"),
     "extremum": ("ExtremumResult", "ExtremumSpec", "GridRange", "InfeasibleSearchError",
                  "maximize_icse", "minimize_icpe", "sweep_curves", "verify_statement1",
                  "verify_statement3"),

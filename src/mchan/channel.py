@@ -44,11 +44,8 @@ __all__ = [
     "ExactCoherentOrthogonal",
     "QuadratureError",
     "SerModel",
-    "SerTableRangeError",
-    "TableSer",
     "UnionBound",
     "capacity_bits_per_symbol",
-    "continuous_capacity",
     "q_function",
     "ser",
 ]
@@ -68,10 +65,6 @@ _RULE_BLOCK = 32
 
 class ChannelDomainError(ValueError):
     """A parameter lies outside the domain of a channel operation."""
-
-
-class SerTableRangeError(ChannelDomainError):
-    """Requested ESINR lies outside a table model's knot range."""
 
 
 class QuadratureError(ArithmeticError):
@@ -254,42 +247,6 @@ class UnionBound(SerModel):
         return _same_kind(h, np.minimum(k * _q_array(hs), k / m))
 
 
-class TableSer(SerModel):
-    """Piecewise-linear SER over caller-supplied (h, p) knots.
-
-    Knots must be sorted by strictly increasing h with p non-increasing
-    and within [0, 1).  Evaluation outside the knot range raises
-    :class:`SerTableRangeError`; the model never extrapolates.
-    """
-
-    def __init__(self, knots: list[tuple[float, float]] | tuple[tuple[float, float], ...]):
-        knots = tuple((float(h), float(p)) for h, p in knots)
-        if len(knots) < 2:
-            raise ChannelDomainError("a table model needs at least two knots")
-        for i, (h, p) in enumerate(knots):
-            if not (math.isfinite(h) and h >= 0.0):
-                raise ChannelDomainError(f"knot {i}: h must be finite and >= 0, got {h!r}")
-            if not (0.0 <= p < 1.0):
-                raise ChannelDomainError(f"knot {i}: p must lie in [0, 1), got {p!r}")
-            if i > 0:
-                if h <= knots[i - 1][0]:
-                    raise ChannelDomainError("knot h values must be strictly increasing")
-                if p > knots[i - 1][1]:
-                    raise ChannelDomainError("knot p values must be non-increasing in h")
-        self.knots = knots
-        self._h, self._p = (np.array(column) for column in zip(*knots))
-
-    def ser(self, m: int, h: float | np.ndarray) -> float | np.ndarray:
-        hs = self._check_args(m, h)
-        h_lo, h_hi = self.knots[0][0], self.knots[-1][0]
-        if np.any((hs < h_lo) | (hs > h_hi)):
-            raise SerTableRangeError(
-                f"h={h!r} outside table range [{h_lo!r}, {h_hi!r}]; refusing to extrapolate"
-            )
-        p = np.interp(hs, self._h, self._p)
-        return _same_kind(h, np.minimum(p, (m - 1) / m))
-
-
 def ser(point: ChannelPoint, model: SerModel) -> float:
     """Symbol error rate of a working point under the given model."""
     return model.ser(point.m, point.h)
@@ -337,12 +294,3 @@ def capacity_bits_per_symbol(m: int, p: float) -> float:
         )
     # Rounding can push the value a hair below zero near the endpoint.
     return max(0.0, value)
-
-
-def continuous_capacity(bandwidth_hz: float, snr: float) -> float:
-    """Continuous-channel capacity deltaF * log2(1 + snr), bits/s."""
-    if not (bandwidth_hz > 0.0 and math.isfinite(bandwidth_hz)):
-        raise ChannelDomainError(f"bandwidth must be finite and > 0, got {bandwidth_hz!r}")
-    if not (snr >= 0.0 and math.isfinite(snr)):
-        raise ChannelDomainError(f"snr must be finite and >= 0, got {snr!r}")
-    return bandwidth_hz * math.log1p(snr) / _LOG2

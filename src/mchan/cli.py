@@ -2,16 +2,22 @@
 
 Subcommands: ``criteria``, ``optimize``, ``interference``, ``mac limits``,
 ``mac simulate``, ``mac allocate``.  Output is CSV or JSON with an
-embedded header carrying the tool version, the command, and every
-resolved parameter (``# param key=value`` lines) plus derived summary
-values (``# result key=value`` lines).  Headers carry no timestamps, and
-floats are written with repr, so rerunning a command from its own header
+embedded header carrying the tool version, the command, every option of
+the subcommand that has a value (``# param key=value`` lines, built in
+one place from the parsed arguments) and derived summary values
+(``# result key=value`` lines).  Headers carry no timestamps, and floats
+are written with repr, so rerunning a command from its own header
 parameters reproduces the output byte for byte:
 
     mchan interference --mode surface ... --out surface.csv
     grep '^# param' surface.csv | sed 's/^# param //' > rerun.cfg
     mchan interference --config rerun.cfg --out again.csv
     cmp surface.csv again.csv
+
+Each ``key=value`` line of a ``--config`` file is read as the flag
+``--key-with-hyphens=value``, placed before the command line's own flags,
+so explicit flags win and argparse checks config values exactly as it
+checks flags (types, choices, required options, no abbreviations).
 
 Exit codes: 0 success, 2 usage/validation error, 3 infeasible search
 (with a nearest-feasible certificate on stderr), 4 numerical failure.
@@ -98,6 +104,8 @@ def _shares_spec(text: str) -> tuple[tuple[int, float], ...]:
 
 def _fmt(v) -> str:
     """Round-trippable text for a parameter value."""
+    if isinstance(v, str):
+        return v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, numbers.Integral):
@@ -123,6 +131,10 @@ def _fmt_shape(v: tuple[int, int]) -> str:
 
 def _fmt_shares(v: tuple[tuple[int, float], ...]) -> str:
     return ",".join(f"{s}:{share!r}" for s, share in v)
+
+
+# Echo formats of the options whose text _fmt would not parse back.
+_ECHO = {"h_window": _fmt_pair, "grid": _fmt_shape, "shares": _fmt_shares}
 
 
 def _cell(v) -> str:
@@ -163,22 +175,27 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=_default_seed(),
                    help="root seed (default $MCHAN_SEED or 0); echoed in the header")
     p.add_argument("--config", default=None,
-                   help="key=value file supplying defaults; explicit flags override")
+                   help="file of key=value lines, each read as the flag --key-with-hyphens=value; "
+                        "explicit flags override")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> argparse.ArgumentParser:
+    # No abbreviations: a flag, like a config or header key, is spelled exactly.
     parser = argparse.ArgumentParser(
         prog="mchan",
         description="Invariant efficiency criteria for m-ary orthogonal channels",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"mchan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
-    pc = sub.add_parser("criteria", help="criterion values at a point or over base sweeps")
+    pc = sub.add_parser("criteria", allow_abbrev=False,
+                        help="criterion values at a point or over base sweeps")
     pc.add_argument("--m", type=int, default=None, help="ensemble size")
     pc.add_argument("--g", type=float, default=None, help="SINR amplitude")
-    pc.add_argument("--bs", dest="b_s", type=float, default=None, help="signal base 2*dF*T")
+    # --b-s spells the header key b_s as a flag.
+    pc.add_argument("--bs", "--b-s", dest="b_s", type=float, default=None,
+                    help="signal base 2*dF*T")
     pc.add_argument("--ser", choices=("exact", "union"), default="exact")
     pc.add_argument("--n0n", type=float, default=None, help="noise density W/Hz (enables Joule forms)")
     pc.add_argument("--n0i", type=float, default=0.0, help="interference density W/Hz")
@@ -193,15 +210,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     pc.add_argument("--loss-exp", type=float, default=None, help="link budget: path loss exponent")
     pc.add_argument("--rx-npi", type=float, default=None, help="link budget: P_i + P_n at receiver, W")
     _add_common(pc)
-    registry["criteria"] = pc
 
-    po = sub.add_parser("optimize", help="constrained extremum searches and statement verifiers")
+    po = sub.add_parser("optimize", allow_abbrev=False,
+                        help="constrained extremum searches and statement verifiers")
     po.add_argument("--objective", choices=("min-icpe", "max-icse"), default="min-icpe")
     po.add_argument("--m", type=int, default=None, help="fix the ensemble size")
     po.add_argument("--m-set", type=_ints_csv, default=(2, 4, 8, 16, 32, 64))
     po.add_argument("--g", type=float, default=None, help="fix the amplitude")
     po.add_argument("--g-range", type=_range_spec, default="0.01:10.0:64")
-    po.add_argument("--bs", dest="b_s", type=float, default=None, help="fix the base")
+    po.add_argument("--bs", "--b-s", dest="b_s", type=float, default=None, help="fix the base")
     po.add_argument("--bs-range", type=_range_spec, default="0.1:1000.0:64")
     po.add_argument("--cf-min", type=float, default=None, help="ICSE floor constraint")
     po.add_argument("--w-cap", type=float, default=None, help="ICPE ceiling constraint")
@@ -215,9 +232,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     po.add_argument("--h-window", type=_float_pair, default=(1e-2, 50.0),
                     help="lo:hi search window for --verify statement3")
     _add_common(po)
-    registry["optimize"] = po
 
-    pi = sub.add_parser("interference", help="orthogonality-error interference estimates")
+    pi = sub.add_parser("interference", allow_abbrev=False,
+                        help="orthogonality-error interference estimates")
     pi.add_argument("--mode", choices=("surface", "nsweep"), default="surface")
     pi.add_argument("--degree", type=int, default=6, help="m-sequence register length")
     pi.add_argument("--rows", type=int, default=8, help="Walsh rows per cell (surface mode)")
@@ -235,21 +252,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     help="register lengths for nsweep mode")
     pi.add_argument("--signals", type=int, default=4, help="signals per cell (nsweep mode)")
     _add_common(pi)
-    registry["interference"] = pi
 
-    pm = sub.add_parser("mac", help="distributed-MAC limits, simulation, identifiers")
+    pm = sub.add_parser("mac", allow_abbrev=False,
+                        help="distributed-MAC limits, simulation, identifiers")
     msub = pm.add_subparsers(dest="mac_command", required=True)
 
-    pml = msub.add_parser("limits", help="overhead infimum and throughput supremum")
+    pml = msub.add_parser("limits", allow_abbrev=False,
+                          help="overhead infimum and throughput supremum")
     pml.add_argument("--discipline", choices=("mm1", "md1"), required=True)
     pml.add_argument("--length-bits", type=float, required=True, help="mean packet length L")
     pml.add_argument("--bit-rate", type=float, default=1.0)
     pml.add_argument("--geom-p", type=float, default=None,
                      help="geometric length parameter (mm1; default 1/L)")
     _add_common(pml)
-    registry["mac limits"] = pml
 
-    pms = msub.add_parser("simulate", help="TDMA discrete-event cross-check")
+    pms = msub.add_parser("simulate", allow_abbrev=False, help="TDMA discrete-event cross-check")
     pms.add_argument("--discipline", choices=("mm1", "md1"), required=True)
     pms.add_argument("--length-bits", type=float, required=True)
     pms.add_argument("--bit-rate", type=float, default=1.0)
@@ -261,23 +278,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     pms.add_argument("--warmup", type=int, default=10_000)
     pms.add_argument("--batches", type=int, default=20)
     pms.add_argument("--confidence", type=float, default=0.95)
-    pms.add_argument("--corruption", type=float, default=0.0,
-                     help="exploratory per-attempt corruption probability")
     _add_common(pms)
-    registry["mac simulate"] = pms
 
-    pma = msub.add_parser("allocate", help="proportional m-sequence window identifiers")
+    pma = msub.add_parser("allocate", allow_abbrev=False,
+                          help="proportional m-sequence window identifiers")
     pma.add_argument("--n", type=int, required=True, help="identifier register length")
     pma.add_argument("--shares", type=_shares_spec, required=True,
                      help="station:share pairs (or bare shares for stations 0..k)")
     _add_common(pma)
-    registry["mac allocate"] = pma
 
-    return parser, registry
+    return parser
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (params, results, columns, rows)
+# subcommand handlers: each returns (results, columns, rows)
 
 
 def _cmd_criteria(args):
@@ -285,7 +299,6 @@ def _cmd_criteria(args):
     from mchan.criteria import (LinkBudget, NoiseSpec, UndefinedCriterionError, cell_radius,
                                 icce, icpe, icpe_joule_forms, icse)
 
-    params = {"ser": args.ser, "seed": _fmt(args.seed), "format": args.format}
     model = ExactCoherentOrthogonal() if args.ser == "exact" else UnionBound()
 
     if args.sweep_bs is not None:
@@ -295,15 +308,12 @@ def _cmd_criteria(args):
             raise UsageError("sweep mode needs --m-list/--m and --g-list/--g")
         from mchan.extremum import sweep_curves
 
-        params.update({"sweep_bs": _fmt(args.sweep_bs), "m_list": _fmt(tuple(m_list)),
-                       "g_list": _fmt(tuple(g_list))})
         points = sweep_curves(m_list, g_list, args.sweep_bs, model)
         rows = [(p.m, p.g, p.b_s, p.h, p.c_f, p.w) for p in points]
-        return params, {}, ("m", "g", "b_s", "h", "c_f", "w"), rows
+        return {}, ("m", "g", "b_s", "h", "c_f", "w"), rows
 
     if args.m is None or args.g is None or args.b_s is None:
         raise UsageError("point mode needs --m, --g and --bs (or use --sweep-bs)")
-    params.update({"m": _fmt(args.m), "g": _fmt(args.g), "b_s": _fmt(args.b_s)})
     point = ChannelPoint(m=args.m, g=args.g, b_s=args.b_s)
     p_err = ser(point, model)
     c_f = icse(point, model)
@@ -315,7 +325,6 @@ def _cmd_criteria(args):
     row = [args.m, args.g, args.b_s, point.h, p_err, c_f, w]
 
     if args.n0n is not None:
-        params.update({"n0n": _fmt(args.n0n), "n0i": _fmt(args.n0i)})
         noise = NoiseSpec(n0_noise=args.n0n, n0_interference=args.n0i)
         w_jc, w_jb = icpe_joule_forms(w, noise, args.b_s)
         columns += ["w_jc", "w_jb"]
@@ -327,9 +336,6 @@ def _cmd_criteria(args):
         if any(v is None for v in budget_flags):
             raise UsageError("link budget needs all of --tx-power --sys-gain --ref-loss "
                              "--ref-dist --loss-exp --rx-npi")
-        params.update({"tx_power": _fmt(args.tx_power), "sys_gain": _fmt(args.sys_gain),
-                       "ref_loss": _fmt(args.ref_loss), "ref_dist": _fmt(args.ref_dist),
-                       "loss_exp": _fmt(args.loss_exp), "rx_npi": _fmt(args.rx_npi)})
         budget = LinkBudget(tx_power_w=args.tx_power, system_gain=args.sys_gain,
                             ref_loss=args.ref_loss, ref_distance_m=args.ref_dist,
                             path_loss_exponent=args.loss_exp,
@@ -338,7 +344,7 @@ def _cmd_criteria(args):
         columns += ["radius_m", "icce"]
         row += [radius, icce(w, radius)]
 
-    return params, {}, tuple(columns), [tuple(row)]
+    return {}, tuple(columns), [tuple(row)]
 
 
 def _cmd_optimize(args):
@@ -347,26 +353,21 @@ def _cmd_optimize(args):
                                 verify_statement3)
 
     model = ExactCoherentOrthogonal()
-    params = {"tol": _fmt(args.tol), "seed": _fmt(args.seed), "format": args.format}
 
     if args.verify == "statement1":
         if args.m is None:
             raise UsageError("--verify statement1 needs --m")
-        params.update({"verify": "statement1", "m": _fmt(args.m),
-                       "g_range": _fmt(args.g_range), "bs_range": _fmt(args.bs_range)})
         report = verify_statement1(args.m, g_range=args.g_range, b_s_grid=args.bs_range,
                                    model=model, tol=args.tol)
         results = {"m": report.m, "w_low": _fmt(report.w_low), "w_high": _fmt(report.w_high),
                    "spread_rel": _fmt(report.spread_rel), "threshold": _fmt(report.threshold),
                    "passed": _fmt(report.passed)}
         rows = [(r.b_s, r.h_min, r.w_min, r.attained) for r in report.rows]
-        return params, results, ("b_s", "h_min", "w_min", "attained"), rows
+        return results, ("b_s", "h_min", "w_min", "attained"), rows
 
     if args.verify == "statement3":
         if args.m is None:
             raise UsageError("--verify statement3 needs --m")
-        params.update({"verify": "statement3", "m": _fmt(args.m),
-                       "g_list": _fmt(args.g_list), "h_window": _fmt_pair(args.h_window)})
         report = verify_statement3(args.m, args.g_list, model=model,
                                    h_window=args.h_window, tol=args.tol)
         results = {"m": report.m, "h_star": _fmt(report.h_star), "w_inf": _fmt(report.w_inf),
@@ -375,17 +376,9 @@ def _cmd_optimize(args):
                    "product_spread_rel": _fmt(report.product_spread_rel),
                    "passed": _fmt(report.passed)}
         rows = [(r.g, r.b_s_star, r.invariant_product) for r in report.rows]
-        return params, results, ("g", "b_s_star", "invariant_product"), rows
+        return results, ("g", "b_s_star", "invariant_product"), rows
 
     objective = args.objective.replace("-", "_")
-    params.update({"objective": args.objective, "method": args.method,
-                   "m_set": _fmt(args.m_set), "g_range": _fmt(args.g_range),
-                   "bs_range": _fmt(args.bs_range)})
-    for name, val in (("m", args.m), ("g", args.g), ("b_s", args.b_s),
-                      ("cf_min", args.cf_min), ("w_cap", args.w_cap),
-                      ("band_eps", args.band_eps)):
-        if val is not None:
-            params[name] = _fmt(val)
     spec = ExtremumSpec(
         objective=objective,
         ser_model=model,
@@ -412,7 +405,7 @@ def _cmd_optimize(args):
     columns = ("objective", "m", "g", "b_s", "h", "value", "c_f", "w", "attained")
     rows = [(result.objective, result.m, result.g, result.b_s, result.h,
              result.value, result.c_f, result.w, result.attained)]
-    return params, results, columns, rows
+    return results, columns, rows
 
 
 def _cmd_interference(args):
@@ -422,20 +415,11 @@ def _cmd_interference(args):
                                     degree_interference_sweep, sinr_surface)
     from mchan.msequence import distinct_msequences, generate_msequence
 
-    params = {"mode": args.mode, "trials": _fmt(args.trials), "seed": _fmt(args.seed),
-              "format": args.format}
-
     if args.mode == "nsweep":
-        params.update({"n_list": _fmt(args.n_list), "signals": _fmt(args.signals)})
         rows = degree_interference_sweep(args.n_list, trials=args.trials, seed=args.seed,
                                          signals_per_cell=args.signals)
-        return params, {}, ("n", "power", "std_error"), rows
+        return {}, ("n", "power", "std_error"), rows
 
-    params.update({"degree": _fmt(args.degree), "rows": _fmt(args.rows),
-                   "et_max": _fmt(args.et_max), "ephi_max": _fmt(args.ephi_max),
-                   "grid": _fmt_shape(args.grid), "noise_db": _fmt(args.noise_db),
-                   "inter_cells": _fmt(args.inter_cells),
-                   "inter_weight": _fmt(args.inter_weight)})
     n_cells = args.inter_cells
     if n_cells > 0:
         seqs = distinct_msequences(args.degree, 1 + n_cells)
@@ -459,7 +443,7 @@ def _cmd_interference(args):
                            noise_power_db=args.noise_db, trials=args.trials, seed=args.seed)
     corner = surface.points[0].sinr_db
     rows = [(p.timing_std_chips, p.phase_std_rad, p.sinr_db) for p in surface.points]
-    return params, {"corner_sinr_db": _fmt(corner)}, ("eps_t", "eps_phi", "sinr_db"), rows
+    return {"corner_sinr_db": _fmt(corner)}, ("eps_t", "eps_phi", "sinr_db"), rows
 
 
 def _mac_model(args):
@@ -472,59 +456,41 @@ def _mac_model(args):
 def _cmd_mac_limits(args):
     from mchan.mac import limits_for
 
-    params = {"discipline": args.discipline, "length_bits": _fmt(args.length_bits),
-              "bit_rate": _fmt(args.bit_rate), "seed": _fmt(args.seed),
-              "format": args.format}
-    if args.geom_p is not None:
-        params["geom_p"] = _fmt(args.geom_p)
-    model = _mac_model(args)
-    limits = limits_for(model)
+    limits = limits_for(_mac_model(args))
     columns = ("discipline", "length_bits", "entropy_bits", "v_inf", "c_sup")
     rows = [(args.discipline, args.length_bits, limits.entropy_bits,
              limits.v_inf, limits.c_sup)]
-    return params, {}, columns, rows
+    return {}, columns, rows
 
 
 def _cmd_mac_simulate(args):
     from mchan.mac import SimConfig, limits_for, simulate_tdma
 
-    params = {"discipline": args.discipline, "length_bits": _fmt(args.length_bits),
-              "bit_rate": _fmt(args.bit_rate), "loads": _fmt(args.loads),
-              "packets": _fmt(args.packets), "warmup": _fmt(args.warmup),
-              "batches": _fmt(args.batches), "confidence": _fmt(args.confidence),
-              "corruption": _fmt(args.corruption), "seed": _fmt(args.seed),
-              "format": args.format}
-    if args.geom_p is not None:
-        params["geom_p"] = _fmt(args.geom_p)
-    if args.overhead is not None:
-        params["overhead"] = _fmt(args.overhead)
     model = _mac_model(args)
     limits = limits_for(model)
     config = SimConfig(loads=args.loads, overhead=args.overhead,
                        warmup_packets=args.warmup, measure_packets=args.packets,
                        batches=args.batches, confidence=args.confidence,
-                       seed=args.seed, corruption_prob=args.corruption)
+                       seed=args.seed)
     result = simulate_tdma(model, config)
     summary = result.summary(limits)
     results = {k: _fmt(v) for k, v in sorted(summary.items())}
     columns = ("load", "throughput", "ci_low", "ci_high", "unstable")
     rows = [(p.load, p.throughput, p.ci_low, p.ci_high, p.unstable)
             for p in result.points]
-    return params, results, columns, rows
+    return results, columns, rows
 
 
 def _cmd_mac_allocate(args):
     from mchan.mac import allocate_identifiers
 
-    params = {"n": _fmt(args.n), "shares": _fmt_shares(args.shares),
-              "seed": _fmt(args.seed), "format": args.format}
     allocation = allocate_identifiers(args.shares, args.n)
     results = {"pool": _fmt(allocation.pool)}
     columns = ("station", "share", "count", "first_position", "identifiers")
     rows = [(s.station, s.share, s.count, s.positions[0],
              "|".join(str(i) for i in s.identifiers))
             for s in allocation.stations]
-    return params, results, columns, rows
+    return results, columns, rows
 
 
 _HANDLERS = {
@@ -565,8 +531,9 @@ def _find_config(argv: list[str]) -> str | None:
     return None
 
 
-def _read_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _read_config(path: str) -> list[str]:
+    """The flags a config file names: ``key=value`` becomes ``--key-with-hyphens=value``."""
+    flags = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -579,24 +546,8 @@ def _read_config(path: str) -> dict[str, str]:
         key, sep, value = s.partition("=")
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {s!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _apply_config(sub: argparse.ArgumentParser, cfg: dict[str, str], path: str) -> None:
-    by_dest = {a.dest: a for a in sub._actions}
-    for key, value in cfg.items():
-        action = by_dest.get(key)
-        if action is None:
-            raise UsageError(f"{path}: unknown parameter {key!r} for this command")
-        if action.type is not None:
-            try:
-                action.default = action.type(value)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"{path}: bad value for {key!r}: {exc}") from exc
-        else:
-            action.default = value
-        action.required = False
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _render_csv(command: str, params: dict, results: dict, columns, rows) -> str:
@@ -628,20 +579,24 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        parser, registry = build_parser()
         config_path = _find_config(argv)
         if config_path is not None:
             command = _command_tokens(argv)
-            if command is None or command not in registry:
+            if command not in _HANDLERS:
                 raise UsageError("--config needs a recognised subcommand on the command line")
-            _apply_config(registry[command], _read_config(config_path), config_path)
+            # Config flags go before the command line's own, which therefore win.
+            n = len(command.split())
+            argv = [*argv[:n], *_read_config(config_path), *argv[n:]]
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
         command = args.command if args.command != "mac" else f"mac {args.mac_command}"
-        handler = _HANDLERS[command]
-        params, results, columns, rows = handler(args)
+        results, columns, rows = _HANDLERS[command](args)
+        # The header echoes every option of the subcommand that has a value,
+        # but not the command itself or where its input and output go.
+        params = {k: _ECHO.get(k, _fmt)(v) for k, v in vars(args).items()
+                  if v is not None and k not in ("command", "mac_command", "config", "out")}
         render = _render_csv if args.format == "csv" else _render_json
         text = render(command, params, results, columns, rows)
         if args.out:

@@ -27,7 +27,6 @@ from mchan.channel import (
 )
 
 __all__ = [
-    "CriterionValue",
     "LinkBudget",
     "NoCoverageError",
     "NoiseSpec",
@@ -39,19 +38,7 @@ __all__ = [
     "icpe_joule_forms",
     "icpe_of_esinr",
     "icse",
-    "icse_of_esinr",
-    "to_db",
 ]
-
-CRITERION_UNITS = {
-    "icse": "bit/s/Hz",
-    "icpe": "1",
-    "icpe_db": "dB",
-    "icee_symbol": "J",
-    "icee_bit": "J",
-    "icce": "1/km^2",
-    "icie": "cost/km^2",
-}
 
 
 class UndefinedCriterionError(ArithmeticError):
@@ -60,21 +47,6 @@ class UndefinedCriterionError(ArithmeticError):
 
 class NoCoverageError(ValueError):
     """The link budget cannot reach the target SINR at the reference distance."""
-
-
-@dataclass(frozen=True)
-class CriterionValue:
-    """A criterion value tagged with its kind and units."""
-
-    kind: str
-    value: float
-    units: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in CRITERION_UNITS:
-            raise ValueError(f"unknown criterion kind {self.kind!r}")
-        if not self.units:
-            object.__setattr__(self, "units", CRITERION_UNITS[self.kind])
 
 
 @dataclass(frozen=True)
@@ -125,23 +97,10 @@ class LinkBudget:
             raise ValueError("path_loss_exponent must be >= 2")
 
 
-def to_db(x: float) -> float:
-    """10 * log10(x); the conventional display form for ICPE and SINR."""
-    if x <= 0.0:
-        raise ValueError(f"dB conversion requires a positive value, got {x!r}")
-    return 10.0 * math.log10(x)
-
-
 def icse(point: ChannelPoint, model: SerModel) -> float:
     """Invariant spectral efficiency c_F = C_m / (B_s / 2), bit/s/Hz."""
     c = capacity_bits_per_symbol(point.m, model.ser(point.m, point.h))
     return 2.0 * c / point.b_s
-
-
-def icse_of_esinr(m: int, h: float, b_s: float, model: SerModel) -> float:
-    """ICSE evaluated directly from (m, h, B_s); used by the searches."""
-    c = capacity_bits_per_symbol(m, model.ser(m, h))
-    return 2.0 * c / b_s
 
 
 def icpe(point: ChannelPoint, model: SerModel) -> float:

@@ -150,9 +150,6 @@ class SimConfig:
     ``loads`` are normalised offered loads G (1.0 saturates the server
     including overhead).  ``overhead`` is the per-packet overhead
     fraction v; None means "use the discipline's v_inf".
-    ``corruption_prob`` enables an exploratory retransmission mode (each
-    attempt fails independently with that probability and the packet is
-    retransmitted); it is not part of the overhead-limit model.
     """
 
     loads: tuple[float, ...] = (0.2, 0.5, 0.8, 1.2, 1.5)
@@ -162,7 +159,6 @@ class SimConfig:
     batches: int = 20
     confidence: float = 0.95
     seed: int = 0
-    corruption_prob: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.loads or any(not (g > 0.0 and math.isfinite(g)) for g in self.loads):
@@ -177,8 +173,6 @@ class SimConfig:
             raise ValueError("measure_packets too small for the batch count")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence!r}")
-        if not (0.0 <= self.corruption_prob < 1.0):
-            raise ValueError(f"corruption_prob must lie in [0, 1), got {self.corruption_prob!r}")
 
 
 @dataclass(frozen=True)
@@ -287,11 +281,7 @@ def _run_load(model: MacModel, config: SimConfig, load: float, v: float,
         tau = rng.geometric(model.p, size=n_total) / model.bit_rate
     else:
         tau = np.full(n_total, tau_mean)
-    if config.corruption_prob > 0.0:
-        attempts = rng.geometric(1.0 - config.corruption_prob, size=n_total).astype(np.float64)
-    else:
-        attempts = np.ones(n_total)
-    busy = attempts * (tau + v * tau_mean)
+    busy = tau + v * tau_mean
 
     finish, idle = _lindley(inter, busy)
     # With no warmup the window opens at t = 0; otherwise it opens at the

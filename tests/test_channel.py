@@ -14,11 +14,8 @@ from mchan.channel import (
     ChannelPoint,
     ExactCoherentOrthogonal,
     QuadratureError,
-    SerTableRangeError,
-    TableSer,
     UnionBound,
     capacity_bits_per_symbol,
-    continuous_capacity,
     q_function,
     ser,
 )
@@ -251,37 +248,3 @@ def test_ser_wrapper_uses_point_esinr():
     pt = ChannelPoint(m=2, g=1.0, b_s=2.0)  # h = 1
     assert ser(pt, EXACT) == EXACT.ser(2, 1.0)
 
-
-def test_table_model_interpolates_and_refuses_extrapolation():
-    table = TableSer([(0.0, 0.5), (1.0, 0.2), (2.0, 0.05)])
-    assert table.ser(2, 0.0) == 0.5
-    assert table.ser(2, 1.0) == 0.2
-    assert table.ser(2, 0.5) == pytest.approx(0.35, rel=1e-12)
-    with pytest.raises(SerTableRangeError):
-        table.ser(2, 2.5)
-    with pytest.raises(SerTableRangeError):
-        table.ser(2, np.array([1.0, 2.5]))
-    np.testing.assert_array_equal(table.ser(2, np.array([0.0, 1.0, 2.0])), [0.5, 0.2, 0.05])
-    # clamped to the m-ary ceiling
-    assert table.ser(2, 0.0) <= 0.5
-
-
-def test_table_model_knot_validation():
-    with pytest.raises(ChannelDomainError):
-        TableSer([(0.0, 0.5)])
-    with pytest.raises(ChannelDomainError):
-        TableSer([(0.0, 0.5), (0.0, 0.4)])  # not strictly increasing in h
-    with pytest.raises(ChannelDomainError):
-        TableSer([(0.0, 0.2), (1.0, 0.4)])  # p increases
-    with pytest.raises(ChannelDomainError):
-        TableSer([(0.0, 1.0), (1.0, 0.4)])  # p out of [0, 1)
-
-
-def test_continuous_capacity():
-    assert continuous_capacity(1.0, 0.0) == 0.0
-    assert continuous_capacity(1000.0, 1.0) == pytest.approx(1000.0, rel=1e-12)
-    assert continuous_capacity(5.0, 3.0) == pytest.approx(10.0, rel=1e-12)
-    with pytest.raises(ChannelDomainError):
-        continuous_capacity(0.0, 1.0)
-    with pytest.raises(ChannelDomainError):
-        continuous_capacity(1.0, -0.1)

@@ -180,9 +180,11 @@ def test_intra_surface_output_is_frozen():
         "# param inter_cells=0\n"
         "# param inter_weight=0.5\n"
         "# param mode=surface\n"
+        "# param n_list=8,10,12,14,16\n"
         "# param noise_db=-113.101\n"
         "# param rows=4\n"
         "# param seed=5\n"
+        "# param signals=4\n"
         "# param trials=50\n"
         "# result corner_sinr_db=113.101\n"
         "eps_t,eps_phi,sinr_db\n"
@@ -212,7 +214,14 @@ def test_negative_seed_is_a_usage_error():
      "--batches", "4", "--seed", "9"),
     ("optimize", "--m", "4", "--bs", "2.0", "--tol", "1e-4"),
     ("optimize", "--m", "4", "--g", "1.0", "--tol", "1e-4"),
-], ids=("surface", "simulate", "optimize_bs", "optimize_g"))
+    ("criteria", "--m", "8", "--g", "1.0", "--sweep-bs", "0.5:50:12"),
+    ("optimize", "--verify", "statement3", "--m", "4", "--g-list", "0.5,1.0",
+     "--h-window", "0.3:3.0", "--tol", "1e-4"),
+    ("interference", "--mode", "nsweep", "--n-list", "5,6", "--trials", "50", "--seed", "3"),
+    ("mac", "limits", "--discipline", "mm1", "--length-bits", "1000", "--geom-p", "0.002"),
+    ("mac", "allocate", "--n", "4", "--shares", "1:0.5,2:0.3,3:0.2"),
+], ids=("surface", "simulate", "optimize_bs", "optimize_g", "criteria_sweep", "statement3",
+        "nsweep", "mac_limits_geom_p", "mac_allocate"))
 def test_rerun_from_header_is_byte_identical(tmp_path, argv):
     first = tmp_path / "first.csv"
     again = tmp_path / "again.csv"
@@ -254,7 +263,56 @@ def test_config_rejects_unknown_keys(tmp_path):
     proc = run_cli("mac", "limits", "--discipline", "md1", "--length-bits", "10",
                    "--config", str(cfg))
     assert proc.returncode == 2
-    assert "unknown parameter" in proc.stderr
+    assert "unrecognized arguments: --no-such-flag=1" in proc.stderr
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("ser=exactt", ("criteria", "--m", "4", "--g", "1.0", "--bs", "2.0")),
+    ("format=xml", ("mac", "limits", "--discipline", "md1", "--length-bits", "10")),
+    ("mode=nsweeep", ("interference", "--degree", "3", "--grid", "2x2", "--trials", "10")),
+    ("deg=3", ("interference", "--grid", "2x2", "--trials", "10")),  # abbreviates degree
+], ids=("ser_choice", "format_choice", "mode_choice", "abbreviated_key"))
+def test_config_values_are_checked_like_flags(tmp_path, capsys, line, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    key = line.partition("=")[0].replace("_", "-")
+    assert f"--{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("criteria", "--m", "4", "--g", "1.0", "--bs", "2.0"),
+    ("criteria", "--m", "4", "--g", "1.0", "--bs", "2.0", "--n0n", "1e-20", "--ser", "union"),
+    ("criteria", "--m-list", "2,4", "--g", "1.0", "--sweep-bs", "0.5:5:3"),
+    ("optimize", "--m", "4", "--bs", "2.0", "--tol", "1e-3"),
+    ("optimize", "--verify", "statement1", "--m", "4", "--g-range", "0.01:10.0:8",
+     "--bs-range", "0.5:5.0:2", "--tol", "1e-3"),
+    ("interference", "--mode", "surface", "--degree", "3", "--grid", "2x2", "--trials", "10"),
+    ("interference", "--mode", "nsweep", "--n-list", "5", "--trials", "10"),
+    ("mac", "limits", "--discipline", "md1", "--length-bits", "1000"),
+    ("mac", "simulate", "--discipline", "md1", "--length-bits", "64", "--loads", "0.5",
+     "--packets", "400", "--warmup", "10", "--batches", "4", "--overhead", "0.1"),
+    ("mac", "allocate", "--n", "4", "--shares", "0.5,0.5", "--format", "json"),
+], ids=("criteria_point", "criteria_joule", "criteria_sweep", "optimize", "statement1",
+        "surface", "nsweep", "mac_limits", "mac_simulate", "mac_allocate_json"))
+def test_header_echoes_every_option_with_a_value(capsys, argv):
+    namespace = vars(cli.build_parser().parse_args(argv))
+    expected = {k for k, v in namespace.items()
+                if v is not None and k not in ("command", "mac_command", "config", "out")}
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    params = json.loads(out)["params"] if "json" in argv else header_params(out)
+    assert set(params) == expected
+
+
+def test_readme_commands_parse():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = [line.split("#")[0].split() for line in fh if line.startswith("mchan ")]
+    assert len(lines) >= 11
+    parser = cli.build_parser()
+    for words in lines:
+        parser.parse_args(words[1:])
 
 
 def test_version_flag():

@@ -6,8 +6,6 @@ import pytest
 
 from mchan.channel import ChannelPoint, ExactCoherentOrthogonal, capacity_bits_per_symbol
 from mchan.criteria import (
-    CRITERION_UNITS,
-    CriterionValue,
     LinkBudget,
     NoCoverageError,
     NoiseSpec,
@@ -19,8 +17,6 @@ from mchan.criteria import (
     icpe_joule_forms,
     icpe_of_esinr,
     icse,
-    icse_of_esinr,
-    to_db,
 )
 
 MODEL = ExactCoherentOrthogonal()
@@ -55,7 +51,6 @@ def test_icse_icpe_product_identity():
 
 def test_of_esinr_forms_match_point_forms():
     pt = ChannelPoint(m=4, g=1.8, b_s=0.5)
-    assert icse_of_esinr(4, pt.h, 0.5, MODEL) == pytest.approx(icse(pt, MODEL), rel=1e-12)
     assert icpe_of_esinr(4, pt.h, MODEL) == pytest.approx(icpe(pt, MODEL), rel=1e-12)
 
 
@@ -140,18 +135,3 @@ def test_icie_identity_cost_matches_icce():
     )
     with pytest.raises(ValueError):
         icie(3.0, 1000.0, cost_fn=lambda w: math.inf)
-
-
-def test_criterion_value_units():
-    v = CriterionValue(kind="icse", value=1.0)
-    assert v.units == CRITERION_UNITS["icse"] == "bit/s/Hz"
-    assert CriterionValue(kind="icpe", value=2.0).units == "1"
-    with pytest.raises(ValueError):
-        CriterionValue(kind="nonsense", value=0.0)
-
-
-def test_to_db():
-    assert to_db(10.0) == pytest.approx(10.0, rel=1e-12)
-    assert to_db(1.0) == 0.0
-    with pytest.raises(ValueError):
-        to_db(0.0)

@@ -48,11 +48,7 @@ def loop_run_load(model, config, load, v, rng):
         tau = rng.geometric(model.p, size=n_total) / model.bit_rate
     else:
         tau = np.full(n_total, tau_mean)
-    if config.corruption_prob > 0.0:
-        attempts = rng.geometric(1.0 - config.corruption_prob, size=n_total).astype(np.float64)
-    else:
-        attempts = np.ones(n_total)
-    busy = attempts * (tau + v * tau_mean)
+    busy = tau + v * tau_mean
 
     batch_useful = np.zeros(batches)
     batch_end = np.zeros(batches)
@@ -193,16 +189,6 @@ def test_time_partition_is_conserved():
         assert point.packets == 5_000
 
 
-def test_corruption_reduces_throughput():
-    model = MacModel(discipline="md1", mean_packet_bits=100.0)
-    base = SimConfig(loads=(1.5,), warmup_packets=1000, measure_packets=20_000, seed=5)
-    noisy = SimConfig(loads=(1.5,), warmup_packets=1000, measure_packets=20_000, seed=5,
-                      corruption_prob=0.3)
-    clean_s = simulate_tdma(model, base).points[0].throughput
-    noisy_s = simulate_tdma(model, noisy).points[0].throughput
-    assert noisy_s < 0.8 * clean_s
-
-
 def test_simulation_is_deterministic():
     model = MacModel(discipline="mm1", mean_packet_bits=64.0)
     config = SimConfig(loads=(0.8, 1.2), warmup_packets=200, measure_packets=2_000,
@@ -215,9 +201,7 @@ def test_simulation_is_deterministic():
     dict(loads=(0.6, 1.3), warmup_packets=1000, measure_packets=8000, batches=8),
     dict(loads=(0.4, 1.1), warmup_packets=0, measure_packets=4000, batches=5),
     dict(loads=(0.7, 1.5), warmup_packets=300, measure_packets=5007, batches=10),
-    dict(loads=(0.5, 1.2), warmup_packets=500, measure_packets=6000, batches=6,
-         corruption_prob=0.3),
-], ids=["stable_and_unstable", "no_warmup", "remainder_dropped", "corruption"])
+], ids=["stable_and_unstable", "no_warmup", "remainder_dropped"])
 def test_simulator_equals_the_packet_loop(discipline, case):
     model = MacModel(discipline=discipline, mean_packet_bits=80.0)
     config = SimConfig(seed=17, **case)
@@ -269,8 +253,6 @@ def test_sim_config_validation():
         SimConfig(loads=(0.5,), batches=1)
     with pytest.raises(ValueError):
         SimConfig(loads=(0.5,), measure_packets=50, batches=20)
-    with pytest.raises(ValueError):
-        SimConfig(loads=(0.5,), corruption_prob=1.0)
     with pytest.raises(ValueError):
         SimConfig(loads=(0.5,), confidence=0.0)
 
