@@ -38,8 +38,7 @@ _LAZY = {
                  "maximize_icse", "minimize_icpe", "sweep_curves", "verify_statement1",
                  "verify_statement3"),
     "interference": ("CellLayout", "InterferingCell", "SignalEnsemble", "SyncErrorModel",
-                     "cross_correlation", "inter_cell_interference",
-                     "intra_cell_interference", "sinr_surface"),
+                     "inter_cell_interference", "intra_cell_interference", "sinr_surface"),
     "mac": ("MacModel", "SimConfig", "TokenAllocation", "allocate_identifiers",
             "geometric_entropy", "md1_limits", "mm1_limits", "simulate_tdma"),
     "msequence": ("MSequence", "NonPrimitiveTapsError", "distinct_msequences",

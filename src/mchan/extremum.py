@@ -15,14 +15,15 @@ approached as h -> 0.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from mchan.channel import ExactCoherentOrthogonal, SerModel, capacity_bits_per_symbol
-from mchan.criteria import UndefinedCriterionError
 
 __all__ = [
     "DEFAULT_M_SET",
@@ -45,6 +46,8 @@ __all__ = [
 DEFAULT_M_SET: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
+# tol may be as small as 1e-300, far below the spacing of floats near
+# log h, so without this cap the golden loop would never end.
 _MAX_GOLDEN_ITER = 200
 # A point within this many refinement tolerances of a window edge is
 # reported as a boundary (attained=False).
@@ -95,9 +98,9 @@ class ExtremumSpec:
     searched over ``m_set`` and the log-grid ranges.  ``c_f_min`` and
     ``w_cap`` are optional constraints (ICSE floor / ICPE ceiling);
     ``icpe_band_eps`` restricts an ICSE maximisation to the near-infimum
-    power band w <= w_inf(m) * (1 + eps).  ``tol`` is the relative
-    golden-section tolerance on h; ``feas_tol`` the relative constraint
-    slack allowed at the reported point.
+    power band w <= w_inf(m) * (1 + eps).  Constraints are met exactly: a
+    reported point has c_F >= c_f_min and w <= w_cap with no tolerance.
+    ``tol`` is the relative golden-section tolerance on h.
     """
 
     objective: str = "min_icpe"
@@ -112,7 +115,6 @@ class ExtremumSpec:
     w_cap: float | None = None
     icpe_band_eps: float | None = None
     tol: float = 1e-6
-    feas_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.objective not in ("min_icpe", "max_icse"):
@@ -133,8 +135,6 @@ class ExtremumSpec:
                 raise ValueError(f"{name} must be finite and > 0 when given, got {v!r}")
         if not (0.0 < self.tol < 1.0):
             raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
-        if not (0.0 <= self.feas_tol < 1.0):
-            raise ValueError(f"feas_tol must lie in [0, 1), got {self.feas_tol!r}")
 
     @property
     def m_values(self) -> tuple[int, ...]:
@@ -169,79 +169,60 @@ class ExtremumResult:
 
 
 # ---------------------------------------------------------------------------
-# scalar minimisation over h (log coordinates, best-seen tracking)
+# scalar minimisation (log coordinates, best-seen tracking)
 
 
-class _BestTracker:
-    __slots__ = ("x", "value", "evals")
+def _minimise(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], lo: float, hi: float,
+              points: int, rel_tol: float, seed: float | None = None
+              ) -> tuple[float, tuple[float, ...], int]:
+    """Log-grid scan plus golden-section refinement of ``f``'s first output.
 
-    def __init__(self) -> None:
-        self.x = math.nan
-        self.value = math.inf
-        self.evals = 0
-
-    def offer(self, x: float, value: float) -> None:
-        self.evals += 1
-        if value < self.value:
-            self.x = x
-            self.value = value
-
-    def offer_grid(self, xs: list[float], values: np.ndarray) -> None:
-        """Offer every grid point; the first of equal minima wins, as in ``offer``."""
-        i = int(np.argmin(values))
-        self.offer(xs[i], float(values[i]))
-        self.evals += len(xs) - 1
-
-
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, rel_tol: float,
-                best: _BestTracker) -> None:
-    """Golden-section minimisation on [lo, hi] in log coordinates."""
-    a, b = math.log(lo), math.log(hi)
-    tol = math.log1p(rel_tol)
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1 = f(math.exp(x1))
-    best.offer(math.exp(x1), f1)
-    f2 = f(math.exp(x2))
-    best.offer(math.exp(x2), f2)
-    for _ in range(_MAX_GOLDEN_ITER):
-        if b - a <= tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(math.exp(x1))
-            best.offer(math.exp(x1), f1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(math.exp(x2))
-            best.offer(math.exp(x2), f2)
-
-
-def _optimize_over_h(f: Callable[[np.ndarray], np.ndarray], h_lo: float, h_hi: float,
-                     points: int, rel_tol: float) -> _BestTracker:
-    """Grid scan plus golden refinement; returns the best-seen tracker.
-
-    ``f`` maps a 1-D array of h to the objective, +inf where h is
-    infeasible: the whole grid is one call, the golden refinement calls it
-    point by point.  The grid best is always retained, so boundary optima
-    at exactly h_lo/h_hi survive the interior-only golden refinement.
+    ``f`` maps a 1-D array of x to a tuple of arrays: the objective (+inf
+    where x is infeasible), the constraint margin, then whatever the
+    caller reports.  The grid, with ``seed`` merged in, is one call; the
+    golden refinement between the best grid point's neighbours calls it
+    point by point.  Returns ``(x, f's outputs at x, evaluations)`` for
+    the best point seen, so a boundary optimum at lo/hi or the seed
+    survives the interior-only refinement.  If no grid point has a finite
+    objective, the grid point with the largest margin is returned.
     """
-    best = _BestTracker()
-    if h_hi <= h_lo * (1.0 + 1e-15):
-        best.offer_grid([h_lo], f(np.array([h_lo])))
-        return best
-    grid = GridRange(h_lo, h_hi, points).log_grid()
-    best.offer_grid(grid, f(np.array(grid)))
-    if not math.isfinite(best.value):
-        return best
-    i = grid.index(best.x)
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(len(grid) - 1, i + 1)]
-    if hi > lo:
-        _golden_min(lambda h: float(f(np.array([h]))[0]), lo, hi, rel_tol, best)
-    return best
+    grid = GridRange(lo, hi, points).log_grid() if hi > lo * (1.0 + 1e-15) else [lo]
+    if seed is not None and seed not in grid:
+        bisect.insort(grid, seed)
+    outs = f(np.array(grid))
+    evals = len(grid)
+    i = int(np.argmin(outs[0]))  # the first of equal minima
+    if not math.isfinite(outs[0][i]):
+        i = int(np.argmax(outs[1]))
+        return grid[i], tuple(float(o[i]) for o in outs), evals
+    best_x, best = grid[i], tuple(float(o[i]) for o in outs)
+
+    def value(t: float) -> float:
+        nonlocal evals, best_x, best
+        x = math.exp(t)
+        out = tuple(float(o[0]) for o in f(np.array([x])))
+        evals += 1
+        if out[0] < best[0]:
+            best_x, best = x, out
+        return out[0]
+
+    a, b = math.log(grid[max(0, i - 1)]), math.log(grid[min(len(grid) - 1, i + 1)])
+    if b > a:
+        tol = math.log1p(rel_tol)
+        x1, x2 = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+        f1, f2 = value(x1), value(x2)
+        for _ in range(_MAX_GOLDEN_ITER):
+            if b - a <= tol:
+                break
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - _INV_GOLDEN * (b - a)
+                f1 = value(x1)
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + _INV_GOLDEN * (b - a)
+                f2 = value(x2)
+    return best_x, best, evals
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +268,36 @@ def _criteria_of_h(m: int, h: np.ndarray, model: SerModel) -> tuple[np.ndarray, 
     return c, w
 
 
-def _w_of(m: int, model: SerModel) -> Callable[[np.ndarray], np.ndarray]:
-    """ICPE as an objective over arrays of h."""
-    return lambda h: _criteria_of_h(m, h, model)[1]
+def _evaluate(m: int, model: SerModel, h: np.ndarray, b_s: np.ndarray | float | None = None,
+              maximise: bool = False, c_f_min: float | None = None,
+              w_cap: float | None = None) -> tuple[np.ndarray, ...]:
+    """Objective, constraint margin, C_m and w over an array of h at bases ``b_s``.
+
+    The one feasibility rule of every search: the margin is
+    min(c_F - c_f_min, w_cap - w) over the constraints given (+inf with
+    none), with c_F = 2 C_m / b_s, and a point is feasible iff its margin
+    is >= 0.  The objective (w, or -c_F when maximising) is +inf elsewhere.
+    """
+    c, w = _criteria_of_h(m, h, model)
+    c_f = None if b_s is None else 2.0 * c / b_s
+    margin = np.full(h.shape, np.inf)
+    if c_f_min is not None:
+        margin = c_f - c_f_min
+    if w_cap is not None:
+        margin = np.minimum(margin, w_cap - w)
+    return np.where(margin >= 0.0, -c_f if maximise else w, np.inf), margin, c, w
+
+
+def _slack(c_f: float, w: float, c_f_min: float | None,
+           w_cap: float | None) -> tuple[dict[str, float], dict[str, bool]]:
+    """Signed margins (>= 0 when met) and active flags of the constraints in force."""
+    slack = {}
+    if c_f_min is not None:
+        slack["c_f_min"] = c_f - c_f_min
+    if w_cap is not None:
+        slack["w_cap"] = w_cap - w
+    bound = {"c_f_min": c_f_min, "w_cap": w_cap}
+    return slack, {k: s <= max(1e-9, 1e-6 * bound[k]) for k, s in slack.items()}
 
 
 def _map_back(spec: ExtremumSpec, h: float, prefer_min_base: bool) -> tuple[float, float]:
@@ -320,93 +328,53 @@ def _attained(h: float, h_lo: float, h_hi: float, tol: float) -> bool:
 def _solve_reduced(spec: ExtremumSpec) -> ExtremumResult:
     model = spec.ser_model
     maximise = spec.objective == "max_icse"
+    h_lo, h_hi = _h_window(spec)
+    points = max(spec.g_range.points, spec.b_s_range.points)
     per_m: list[ExtremumResult] = []
     near_misses: list[dict] = []
     total_evals = 0
 
     for m in spec.m_values:
-        h_lo, h_hi = _h_window(spec)
-        points = max(spec.g_range.points, spec.b_s_range.points)
-
-        w_cap = spec.w_cap
-        band_note = ""
+        w_cap, h_seed, band_note = spec.w_cap, None, ""
         if maximise and spec.icpe_band_eps is not None:
-            ref = _optimize_over_h(_w_of(m, model), h_lo, h_hi, points, spec.tol)
-            total_evals += ref.evals
-            band_cap = ref.value * (1.0 + spec.icpe_band_eps)
+            # h* lies in the band by construction, so the search is seeded with it.
+            h_seed, (w_inf, *_), evals = _minimise(partial(_evaluate, m, model),
+                                                   h_lo, h_hi, points, spec.tol)
+            total_evals += evals
+            band_cap = w_inf * (1.0 + spec.icpe_band_eps)
             w_cap = band_cap if w_cap is None else min(w_cap, band_cap)
-            band_note = f"near-infimum band: w_inf({m})={ref.value!r}"
+            band_note = f"near-infimum band: w_inf({m})={w_inf!r}"
 
-        cf_floor = spec.c_f_min
-        slack = spec.feas_tol
+        def objective(h: np.ndarray, m: int = m, w_cap: float | None = w_cap):
+            return _evaluate(m, model, h, _b_s_compat(spec, h)[0], maximise,
+                             spec.c_f_min, w_cap)
 
-        def cf_and_w(h: np.ndarray, m: int = m) -> tuple[np.ndarray, np.ndarray]:
-            """Largest ICSE reachable at each h within the axis ranges, and ICPE."""
-            c, w = _criteria_of_h(m, h, model)
-            return 2.0 * c / _b_s_compat(spec, h)[0], w
-
-        def objective(h: np.ndarray, w_cap: float | None = w_cap) -> np.ndarray:
-            cf, w = cf_and_w(h)
-            feasible = np.ones(h.shape, dtype=bool)
-            if cf_floor is not None:
-                feasible &= cf >= cf_floor * (1.0 - slack)
-            if w_cap is not None:
-                feasible &= w <= w_cap * (1.0 + slack)
-            return np.where(feasible, -cf if maximise else w, np.inf)
-
-        best = _optimize_over_h(objective, h_lo, h_hi, points, spec.tol)
-        total_evals += best.evals
-
-        if not math.isfinite(best.value):
-            # Build an infeasibility certificate: the point with the best
-            # constraint margin over the scan grid.
-            if h_hi > h_lo * (1.0 + 1e-12):
-                cert_grid = GridRange(h_lo, h_hi, points).log_grid()
-            else:
-                cert_grid = [h_lo]
-            cf, w = cf_and_w(np.array(cert_grid))
-            margin = np.full(len(cert_grid), np.inf)
-            if cf_floor is not None:
-                margin = cf - cf_floor
-            if w_cap is not None:
-                margin = np.where(np.isfinite(w), np.minimum(margin, w_cap - w), margin)
-            i = int(np.argmax(margin))
-            g, b_s = _map_back(spec, cert_grid[i], prefer_min_base=True)
-            near_misses.append({"m": m, "h": cert_grid[i], "g": g, "b_s": b_s,
-                                "c_f": float(cf[i]), "w": float(w[i]),
-                                "margin": float(margin[i])})
+        h, (value, margin, c, w), evals = _minimise(objective, h_lo, h_hi, points, spec.tol,
+                                                   seed=h_seed)
+        total_evals += evals
+        if not margin >= 0.0:
+            # The nearest-feasible point of the scan grid, as a certificate.
+            g, b_s = _map_back(spec, h, prefer_min_base=True)
+            near_misses.append({"m": m, "h": h, "g": g, "b_s": b_s, "c_f": 2.0 * c / b_s,
+                                "w": w, "margin": margin})
             continue
 
-        h_star = best.x
-        prefer_min_base = cf_floor is not None or maximise
-        g_star, b_star = _map_back(spec, h_star, prefer_min_base)
-        c, w = (float(a[0]) for a in _criteria_of_h(m, np.array([h_star]), model))
-        c_f = 2.0 * c / b_star
-
-        slack_map: dict[str, float] = {}
-        active_map: dict[str, bool] = {}
-        if cf_floor is not None:
-            s = c_f - cf_floor
-            slack_map["c_f_min"] = s
-            active_map["c_f_min"] = s <= max(1e-9, 1e-6 * cf_floor)
-        if w_cap is not None:
-            s = w_cap - w
-            slack_map["w_cap"] = s
-            active_map["w_cap"] = s <= max(1e-9, 1e-6 * w_cap)
-
+        g, b_s = _map_back(spec, h, prefer_min_base=spec.c_f_min is not None or maximise)
+        c_f = 2.0 * c / b_s
+        slack, active = _slack(c_f, w, spec.c_f_min, w_cap)
         per_m.append(ExtremumResult(
             objective=spec.objective,
             m=m,
-            g=g_star,
-            b_s=b_star,
-            h=h_star,
-            value=-best.value if maximise else best.value,
+            g=g,
+            b_s=b_s,
+            h=h,
+            value=-value if maximise else value,
             c_f=c_f,
             w=w,
-            attained=_attained(h_star, h_lo, h_hi, spec.tol),
-            constraint_slack=slack_map,
-            constraint_active=active_map,
-            evaluations=best.evals,
+            attained=_attained(h, h_lo, h_hi, spec.tol),
+            constraint_slack=slack,
+            constraint_active=active,
+            evaluations=evals,
             note=band_note,
         ))
 
@@ -428,21 +396,13 @@ def _solve_reduced(spec: ExtremumSpec) -> ExtremumResult:
 
 def _solve_grid2d(spec: ExtremumSpec) -> ExtremumResult:
     """Direct search on the (g, B_s) grid; cross-check for the reduction."""
-    model = spec.ser_model
+    if spec.icpe_band_eps is not None:
+        raise ValueError("the near-infimum band (icpe_band_eps) needs method='reduced'")
     maximise = spec.objective == "max_icse"
-    slack = spec.feas_tol
 
-    def eval_points(m: int, g: np.ndarray, b_s: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Objective (+inf if infeasible), c_F and w at (g, B_s) arrays of one shape."""
-        h = g * np.sqrt(b_s / 2.0)
-        c, w = _criteria_of_h(m, h, model)
-        c_f = 2.0 * c / b_s
-        feasible = np.ones(h.shape, dtype=bool)
-        if spec.c_f_min is not None:
-            feasible &= c_f >= spec.c_f_min * (1.0 - slack)
-        if spec.w_cap is not None:
-            feasible &= w <= spec.w_cap * (1.0 + slack)
-        return np.where(feasible, -c_f if maximise else w, np.inf), c_f, w
+    def at(m: int, g, b_s) -> tuple[np.ndarray, ...]:
+        return _evaluate(m, spec.ser_model, g * np.sqrt(b_s / 2.0), b_s, maximise,
+                         spec.c_f_min, spec.w_cap)
 
     g_grid = [spec.g_fixed] if spec.g_fixed is not None else spec.g_range.log_grid()
     b_grid = [spec.b_s_fixed] if spec.b_s_fixed is not None else spec.b_s_range.log_grid()
@@ -451,64 +411,55 @@ def _solve_grid2d(spec: ExtremumSpec) -> ExtremumResult:
     best = None
     evals = 0
     for m in spec.m_values:
-        obj = eval_points(m, g_mesh, b_mesh)[0]
-        evals += obj.size
-        i = int(np.argmin(obj))  # the first minimum in (g, B_s) scan order
-        if best is None or obj[i] < best[0]:
-            best = (float(obj[i]), m, float(g_mesh[i]), float(b_mesh[i]))
-    if best is None or not math.isfinite(best[0]):
+        outs = at(m, g_mesh, b_mesh)
+        evals += g_mesh.size
+        i = int(np.argmin(outs[0]))  # the first minimum in (g, B_s) scan order
+        if best is None or outs[0][i] < best[0][0]:
+            best = (tuple(float(o[i]) for o in outs), m, float(g_mesh[i]), float(b_mesh[i]))
+    out, m, g, b_s = best
+    if not math.isfinite(out[0]):
         raise InfeasibleSearchError("no feasible point on the 2-D grid", certificate={})
 
-    _, m, g0, b0 = best
-
-    def objective_at(g: float, b_s: float) -> float:
-        return float(eval_points(m, np.array([g]), np.array([b_s]))[0][0])
-
-    # Coordinate refinement: golden in g at fixed B_s, then in B_s at
-    # fixed g.  The objective depends on h only, so one pass suffices.
-    tracker = _BestTracker()
-    tracker.offer(g0, best[0])
+    # Coordinate refinement: in g at fixed B_s, then in B_s at fixed g.
+    # The objective depends on h only, so one pass suffices.
     if spec.g_fixed is None:
-        _golden_min(lambda g: objective_at(g, b0),
-                    spec.g_range.lo, spec.g_range.hi, spec.tol, tracker)
-    g1 = tracker.x
-    evals += tracker.evals
-    tracker2 = _BestTracker()
-    tracker2.offer(b0, tracker.value)
+        r = spec.g_range
+        g, out, n = _minimise(lambda x: at(m, x, b_s), r.lo, r.hi, r.points, spec.tol)
+        evals += n
     if spec.b_s_fixed is None:
-        _golden_min(lambda b: objective_at(g1, b),
-                    spec.b_s_range.lo, spec.b_s_range.hi, spec.tol, tracker2)
-    b1 = tracker2.x if tracker2.value <= tracker.value else b0
-    evals += tracker2.evals
+        r = spec.b_s_range
+        b_s, out, n = _minimise(lambda x: at(m, g, x), r.lo, r.hi, r.points, spec.tol)
+        evals += n
 
-    obj, c_f, w = (float(a[0]) for a in eval_points(m, np.array([g1]), np.array([b1])))
-    h = g1 * math.sqrt(b1 / 2.0)
-    slack_map: dict[str, float] = {}
-    active_map: dict[str, bool] = {}
-    if spec.c_f_min is not None:
-        s = c_f - spec.c_f_min
-        slack_map["c_f_min"] = s
-        active_map["c_f_min"] = s <= max(1e-9, 1e-6 * spec.c_f_min)
-    if spec.w_cap is not None:
-        s = spec.w_cap - w
-        slack_map["w_cap"] = s
-        active_map["w_cap"] = s <= max(1e-9, 1e-6 * spec.w_cap)
+    value, _, c, w = out
+    c_f = 2.0 * c / b_s
+    h = g * math.sqrt(b_s / 2.0)
+    slack, active = _slack(c_f, w, spec.c_f_min, spec.w_cap)
     h_lo, h_hi = _h_window(spec)
     return ExtremumResult(
         objective=spec.objective,
         m=m,
-        g=g1,
-        b_s=b1,
+        g=g,
+        b_s=b_s,
         h=h,
-        value=-obj if maximise else obj,
+        value=-value if maximise else value,
         c_f=c_f,
         w=w,
         attained=_attained(h, h_lo, h_hi, spec.tol),
-        constraint_slack=slack_map,
-        constraint_active=active_map,
+        constraint_slack=slack,
+        constraint_active=active,
         evaluations=evals,
         note="direct 2-D search",
     )
+
+
+_METHODS = {"reduced": _solve_reduced, "grid2d": _solve_grid2d}
+
+
+def _solve(spec: ExtremumSpec, objective: str, method: str) -> ExtremumResult:
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return _METHODS[method](replace(spec, objective=objective))
 
 
 def minimize_icpe(spec: ExtremumSpec, method: str = "reduced") -> ExtremumResult:
@@ -518,22 +469,15 @@ def minimize_icpe(spec: ExtremumSpec, method: str = "reduced") -> ExtremumResult
     ``method="grid2d"`` scans the (g, B_s) grid directly.  Both must
     agree — the second exists as a cross-check of the first.
     """
-    spec = replace(spec, objective="min_icpe")
-    if method == "reduced":
-        return _solve_reduced(spec)
-    if method == "grid2d":
-        return _solve_grid2d(spec)
-    raise ValueError(f"unknown method {method!r}")
+    return _solve(spec, "min_icpe", method)
 
 
 def maximize_icse(spec: ExtremumSpec, method: str = "reduced") -> ExtremumResult:
-    """Maximise ICSE over the search region (same machinery, flipped sign)."""
-    spec = replace(spec, objective="max_icse")
-    if method == "reduced":
-        return _solve_reduced(spec)
-    if method == "grid2d":
-        return _solve_grid2d(spec)
-    raise ValueError(f"unknown method {method!r}")
+    """Maximise ICSE over the search region (same machinery, flipped sign).
+
+    The near-infimum band (``icpe_band_eps``) needs ``method="reduced"``.
+    """
+    return _solve(spec, "max_icse", method)
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +537,10 @@ def verify_statement1(
     for b_s in b_s_grid.log_grid():
         s = math.sqrt(b_s / 2.0)
         h_lo, h_hi = g_range.lo * s, g_range.hi * s
-        best = _optimize_over_h(_w_of(m, model), h_lo, h_hi, g_range.points, tol)
-        rows.append(FlatnessRow(
-            b_s=b_s,
-            h_min=best.x,
-            w_min=best.value,
-            attained=_attained(best.x, h_lo, h_hi, tol),
-        ))
+        h, (w_min, *_), _ = _minimise(partial(_evaluate, m, model), h_lo, h_hi,
+                                      g_range.points, tol)
+        rows.append(FlatnessRow(b_s=b_s, h_min=h, w_min=w_min,
+                                attained=_attained(h, h_lo, h_hi, tol)))
     w_values = [r.w_min for r in rows]
     w_low, w_high = min(w_values), max(w_values)
     spread = (w_high - w_low) / w_low
@@ -665,8 +606,7 @@ def verify_statement3(
     if model is None:
         model = ExactCoherentOrthogonal()
     h_lo, h_hi = h_window
-    best = _optimize_over_h(_w_of(m, model), h_lo, h_hi, points, tol)
-    h_star = best.x
+    h_star, (w_inf, *_), _ = _minimise(partial(_evaluate, m, model), h_lo, h_hi, points, tol)
 
     rows = []
     for g in g_sorted:
@@ -679,7 +619,7 @@ def verify_statement3(
     return MonotonicityReport(
         m=m,
         h_star=h_star,
-        w_inf=best.value,
+        w_inf=w_inf,
         attained=_attained(h_star, h_lo, h_hi, tol),
         rows=tuple(rows),
         strictly_decreasing=decreasing,

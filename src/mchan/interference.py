@@ -48,7 +48,6 @@ __all__ = [
     "SurfacePoint",
     "SurfaceResult",
     "SyncErrorModel",
-    "cross_correlation",
     "degree_interference_sweep",
     "inter_cell_interference",
     "intra_cell_interference",
@@ -205,27 +204,6 @@ class InterferenceEstimate:
     power: float
     std_error: float
     trials: int
-
-
-def cross_correlation(ref_chips: np.ndarray, sig_chips: np.ndarray,
-                      timing_offset_chips: float = 0.0,
-                      phase_offset_rad: float = 0.0) -> float:
-    """Normalised correlation of ref against a shifted, rotated interferer.
-
-    K = cos(phase) / L * sum_k ref[k] * sig_shifted[k], where the
-    interferer is cyclically delayed by ``timing_offset_chips`` (linear
-    interpolation between the two adjacent integer lags).  This is the
-    reference implementation the fast estimator paths must agree with.
-    """
-    ref = np.asarray(ref_chips, dtype=np.float64)
-    sig = np.asarray(sig_chips, dtype=np.float64)
-    if ref.shape != sig.shape or ref.ndim != 1:
-        raise ValueError("ref and sig must be 1-D arrays of equal length")
-    L = ref.size
-    d = math.floor(timing_offset_chips)
-    f = timing_offset_chips - d
-    shifted = (1.0 - f) * np.roll(sig, -d) + f * np.roll(sig, -(d + 1))
-    return math.cos(phase_offset_rad) * float(np.dot(ref, shifted)) / L
 
 
 # SeedSequence's hash (numpy/random/bit_generator.pyx) and PCG64's seeding
@@ -415,8 +393,7 @@ def _ksq_for_block(table: np.ndarray, z: np.ndarray, y: np.ndarray, u: np.ndarra
     ``table`` is the ``_lag_corr`` table, one row per column of the
     draws.  Timing offsets are split into integer lag plus fractional
     chip; the correlation at fractional offsets is the linear
-    interpolation of the exact integer-lag correlation function, as in
-    ``cross_correlation``.
+    interpolation of the exact integer-lag correlation function.
     """
     L = table.shape[1]
     offs = errors.timing_std_chips * z

@@ -94,6 +94,10 @@ def test_usage_errors_exit_2():
     proc = run_cli("optimize", "--verify", "statement1")  # missing --m
     assert proc.returncode == 2
     assert "statement1" in proc.stderr
+    proc = run_cli("optimize", "--objective", "max-icse", "--m", "8", "--band-eps", "0.05",
+                   "--method", "grid2d")  # the band needs the reduced search
+    assert proc.returncode == 2
+    assert "icpe_band_eps" in proc.stderr
 
 
 def test_infeasible_search_exits_3_with_certificate():
@@ -104,6 +108,15 @@ def test_infeasible_search_exits_3_with_certificate():
     cert = json.loads(cert_line.split("certificate: ", 1)[1])
     assert cert["m"] == 2
     assert cert["margin"] < 0
+
+
+def test_narrow_band_search_succeeds():
+    # The band w <= w_inf * (1 + 1e-4) is narrower than one grid step.
+    proc = run_cli("optimize", "--objective", "max-icse", "--m", "8", "--band-eps", "1e-4")
+    assert proc.returncode == 0, proc.stderr
+    assert "# result active_w_cap=true" in proc.stdout
+    slack = next(l for l in proc.stdout.splitlines() if l.startswith("# result slack_w_cap="))
+    assert float(slack.partition("=")[2]) >= 0.0
 
 
 @pytest.mark.parametrize("error, code, prefix", [

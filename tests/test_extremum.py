@@ -1,11 +1,14 @@
 """Constrained extremum search: frozen optima, cross-checks, verifiers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mchan.channel import ExactCoherentOrthogonal, UnionBound
+from mchan.channel import ExactCoherentOrthogonal, UnionBound, capacity_bits_per_symbol
 from mchan.criteria import icpe_of_esinr
 from mchan.extremum import (
     DEFAULT_M_SET,
@@ -62,8 +65,8 @@ def test_reduced_and_grid2d_agree_constrained():
     b = minimize_icpe(spec, method="grid2d")
     assert b.value == pytest.approx(a.value, rel=1e-6)
     assert "c_f_min" in a.constraint_slack
-    assert a.constraint_slack["c_f_min"] >= -1e-9
-    assert a.c_f >= 1.0 - 1e-9
+    assert a.constraint_slack["c_f_min"] >= 0.0
+    assert a.c_f >= 1.0
 
 
 def test_free_m_prefers_larger_ensemble():
@@ -110,9 +113,40 @@ def test_near_infimum_band_caps_power():
     assert "near-infimum band" in res.note
 
 
+@pytest.mark.parametrize("m", DEFAULT_M_SET)
+def test_band_search_meets_its_cap_exactly_and_widens_with_eps(m):
+    # The ICPE minimiser h* lies in every band by construction, so no eps
+    # may be reported infeasible, and the c_F found must not fall as the
+    # band widens.
+    c_f = []
+    for eps in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+        res = maximize_icse(ExtremumSpec(m_fixed=m, icpe_band_eps=eps))
+        assert res.constraint_slack["w_cap"] >= 0.0
+        c_f.append(res.c_f)
+    assert all(b >= a for a, b in zip(c_f, c_f[1:]))
+
+
+@settings(deadline=None, max_examples=25)
+@given(m=st.sampled_from(DEFAULT_M_SET), k=st.integers(0, 56), maximise=st.booleans(),
+       floor=st.floats(0.3, 0.999), cap=st.floats(1.001, 2.0))
+@example(m=2, k=0, maximise=True, floor=0.3, cap=1.001)  # w is flattest here
+def test_constraints_met_on_the_scan_grid_are_met_exactly(m, k, maximise, floor, cap):
+    # c_f_min and w_cap both hold at the k-th point of the h scan grid, so
+    # the search must succeed and report every slack >= 0 with no tolerance.
+    spec = ExtremumSpec(m_fixed=m)
+    g, b = spec.g_range, spec.b_s_range
+    h = GridRange(g.lo * math.sqrt(b.lo / 2.0), g.hi * math.sqrt(b.hi / 2.0), 64).log_grid()[k]
+    c = capacity_bits_per_symbol(m, EXACT.ser(m, h))
+    b_lo = max(b.lo, 2.0 * (h / g.hi) ** 2)
+    spec = replace(spec, c_f_min=2.0 * c / b_lo * floor, w_cap=h * h / c * cap)
+    res = (maximize_icse if maximise else minimize_icpe)(spec)
+    assert set(res.constraint_slack) == {"c_f_min", "w_cap"}
+    assert all(s >= 0.0 for s in res.constraint_slack.values())
+
+
 def test_explicit_power_cap_binds():
     res = maximize_icse(ExtremumSpec(m_fixed=4, w_cap=2.0))
-    assert res.w <= 2.0 * (1.0 + 1e-6)
+    assert res.w <= 2.0
     assert res.constraint_active["w_cap"]
 
 
@@ -202,6 +236,8 @@ def test_spec_validation():
         ExtremumSpec(c_f_min=-1.0)
     with pytest.raises(ValueError):
         minimize_icpe(ExtremumSpec(m_fixed=4), method="annealing")
+    with pytest.raises(ValueError, match="icpe_band_eps"):  # grid2d has no ICPE pass
+        maximize_icse(ExtremumSpec(m_fixed=8, icpe_band_eps=0.05), method="grid2d")
     assert ExtremumSpec().m_values == tuple(sorted(DEFAULT_M_SET))
 
 

@@ -13,13 +13,30 @@ from mchan.interference import (
     InterferingCell,
     SignalEnsemble,
     SyncErrorModel,
-    cross_correlation,
     degree_interference_sweep,
     inter_cell_interference,
     intra_cell_interference,
     sinr_surface,
 )
 from mchan.msequence import distinct_msequences, generate_msequence
+
+
+def cross_correlation(ref, sig, timing_offset_chips=0.0, phase_offset_rad=0.0):
+    """Reference correlation of ref against a shifted, rotated interferer.
+
+    K = cos(phase) / L * sum_k ref[k] * sig_shifted[k], where the
+    interferer is cyclically delayed by ``timing_offset_chips`` (linear
+    interpolation between the two adjacent integer lags).  The oracle the
+    table-driven estimator paths must agree with.
+    """
+    ref = np.asarray(ref, dtype=np.float64)
+    sig = np.asarray(sig, dtype=np.float64)
+    if ref.shape != sig.shape or ref.ndim != 1:
+        raise ValueError("ref and sig must be 1-D arrays of equal length")
+    d = math.floor(timing_offset_chips)
+    f = timing_offset_chips - d
+    shifted = (1.0 - f) * np.roll(sig, -d) + f * np.roll(sig, -(d + 1))
+    return math.cos(phase_offset_rad) * float(np.dot(ref, shifted)) / ref.size
 
 
 def walsh_ensemble(degree=4, rows=8, cell_id=0):
