@@ -3,7 +3,8 @@
 ICPE depends on (g, B_s) only through the energy SINR h = g * sqrt(B_s/2),
 so every search here reduces to one dimension: build the h-window induced
 by the axis ranges, minimise (or maximise) over h with a log-spaced grid
-(one vectorised SER call per m) followed by golden-section refinement,
+(one vectorised SER call per m) followed by a superlinear refinement
+(Brent's minimiser inside, a regula falsi root at a constraint edge),
 then map the optimiser back to a concrete (g, B_s) pair.  A direct
 two-dimensional grid search is kept as a cross-check (``method="grid2d"``);
 the two routes must agree.
@@ -45,10 +46,11 @@ __all__ = [
 
 DEFAULT_M_SET: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
+# Brent's fallback step: this fraction of the bracket's larger side.
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # 0.381...
 # tol may be as small as 1e-300, far below the spacing of floats near
-# log h, so without this cap the golden loop would never end.
-_MAX_GOLDEN_ITER = 200
+# log h, so without this cap a refinement loop would never end.
+_MAX_REFINE_ITER = 200
 # A point within this many refinement tolerances of a window edge is
 # reported as a boundary (attained=False).
 _EDGE_FACTOR = 5.0
@@ -100,7 +102,8 @@ class ExtremumSpec:
     ``icpe_band_eps`` restricts an ICSE maximisation to the near-infimum
     power band w <= w_inf(m) * (1 + eps).  Constraints are met exactly: a
     reported point has c_F >= c_f_min and w <= w_cap with no tolerance.
-    ``tol`` is the relative golden-section tolerance on h.
+    ``tol`` is the relative tolerance on h: each refinement stops at a
+    bracket of log1p(tol) in log h.
     """
 
     objective: str = "min_icpe"
@@ -175,16 +178,27 @@ class ExtremumResult:
 def _minimise(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], lo: float, hi: float,
               points: int, rel_tol: float, seed: float | None = None
               ) -> tuple[float, tuple[float, ...], int]:
-    """Log-grid scan plus golden-section refinement of ``f``'s first output.
+    """Log-grid scan plus superlinear refinement of ``f``'s first output.
 
     ``f`` maps a 1-D array of x to a tuple of arrays: the objective (+inf
     where x is infeasible), the constraint margin, then whatever the
-    caller reports.  The grid, with ``seed`` merged in, is one call; the
-    golden refinement between the best grid point's neighbours calls it
-    point by point.  Returns ``(x, f's outputs at x, evaluations)`` for
-    the best point seen, so a boundary optimum at lo/hi or the seed
-    survives the interior-only refinement.  If no grid point has a finite
-    objective, the grid point with the largest margin is returned.
+    caller reports.  The grid, with ``seed`` merged in, is one call.  The
+    refinement calls ``f`` point by point, in log x, on the bracket
+    between the best grid point's neighbours:
+
+    - a neighbour with margin < 0 is replaced by the feasible end of the
+      margin's root bracket (:func:`_margin_root`);
+    - if the best point is then an end of the bracket (a window edge or
+      a constraint edge), one probe ``rel_tol`` inside it decides: when
+      the probe is not better, that end is the optimum;
+    - otherwise Brent's parabolic-plus-golden minimiser runs from the
+      best point (:func:`_brent`).
+
+    Each stops at a bracket of log1p(rel_tol).  Returns ``(x, f's outputs
+    at x, evaluations)`` for the best point seen, so every reported
+    point has margin >= 0 and a boundary optimum at lo/hi or the seed
+    survives.  If no grid point has a finite objective, the grid point
+    with the largest margin is returned.
     """
     grid = GridRange(lo, hi, points).log_grid() if hi > lo * (1.0 + 1e-15) else [lo]
     if seed is not None and seed not in grid:
@@ -195,34 +209,123 @@ def _minimise(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], lo: float, hi: 
     if not math.isfinite(outs[0][i]):
         i = int(np.argmax(outs[1]))
         return grid[i], tuple(float(o[i]) for o in outs), evals
-    best_x, best = grid[i], tuple(float(o[i]) for o in outs)
+    best_t, best_x, best = math.log(grid[i]), grid[i], tuple(float(o[i]) for o in outs)
 
-    def value(t: float) -> float:
-        nonlocal evals, best_x, best
+    def probe(t: float) -> tuple[float, ...]:
+        nonlocal evals, best_t, best_x, best
         x = math.exp(t)
         out = tuple(float(o[0]) for o in f(np.array([x])))
         evals += 1
         if out[0] < best[0]:
-            best_x, best = x, out
-        return out[0]
+            best_t, best_x, best = t, x, out
+        return out
 
-    a, b = math.log(grid[max(0, i - 1)]), math.log(grid[min(len(grid) - 1, i + 1)])
-    if b > a:
-        tol = math.log1p(rel_tol)
-        x1, x2 = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
-        f1, f2 = value(x1), value(x2)
-        for _ in range(_MAX_GOLDEN_ITER):
-            if b - a <= tol:
-                break
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _INV_GOLDEN * (b - a)
-                f1 = value(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _INV_GOLDEN * (b - a)
-                f2 = value(x2)
+    tol = math.log1p(rel_tol)
+    t_i, margin_i = best_t, best[1]
+    ends = []
+    for j in (i - 1, i + 1):
+        if not 0 <= j < len(grid):
+            ends.append(t_i)
+        elif outs[1][j] < 0.0:
+            ends.append(_margin_root(probe, t_i, margin_i, math.log(grid[j]),
+                                     float(outs[1][j]), tol))
+        else:
+            ends.append(math.log(grid[j]))
+    a, b = ends
+    if b - a > tol:
+        if best_t in (a, b):  # an optimum on an edge unless this probe is better
+            probe(best_t + tol if best_t == a else best_t - tol)
+        if best_t not in (a, b):
+            _brent(probe, a, b, best_t, best[0], tol)
     return best_x, best, evals
+
+
+def _margin_root(probe: Callable[[float], tuple[float, ...]], t_in: float, m_in: float,
+                 t_out: float, m_out: float, tol: float) -> float:
+    """Feasible end of the constraint margin's root bracket, once it is <= tol wide.
+
+    ``t_in`` has margin ``m_in`` >= 0 and ``t_out`` margin ``m_out`` < 0.
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): when the same
+    end is kept twice in a row, its margin is halved.  Bisection
+    stands in wherever a margin is not finite (w = inf where C rounds
+    to 0).
+    """
+    kept = 0  # +1: the feasible end was kept last, -1: the infeasible one
+    for _ in range(_MAX_REFINE_ITER):
+        if m_in == 0.0 or abs(t_out - t_in) <= tol:
+            break
+        t = 0.5 * (t_in + t_out)
+        if math.isfinite(m_in) and math.isfinite(m_out):
+            t_rf = t_in + (t_out - t_in) * m_in / (m_in - m_out)
+            if min(t_in, t_out) < t_rf < max(t_in, t_out):
+                t = t_rf
+        m = probe(t)[1]
+        if m >= 0.0:
+            t_in, m_in = t, m
+            if kept < 0:
+                m_out *= 0.5
+            kept = -1
+        else:
+            t_out, m_out = t, m
+            if kept > 0:
+                m_in *= 0.5
+            kept = 1
+    return t_in
+
+
+def _brent(probe: Callable[[float], tuple[float, ...]], a: float, b: float, x: float,
+           fx: float, tol: float) -> None:
+    """Brent's localmin on [a, b] from the best known point (x, fx), to a bracket <= tol.
+
+    R. P. Brent, *Algorithms for Minimization without Derivatives*
+    (1973), ch. 5: a parabola through the three best points when it
+    steps inside the bracket and less than half the step before last,
+    else a golden step into the larger side.  A parabola is only fitted
+    through finite values, so w = inf where C rounds to 0 stays safe.
+    ``probe`` records the best point; nothing is returned.
+    """
+    step = 0.25 * tol  # the smallest step, so x - step and x + step fit in tol
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    for _ in range(_MAX_REFINE_ITER):
+        if b - a <= tol:
+            break
+        xm = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > step and math.isfinite(fw) and math.isfinite(fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                e, d = d, p / q
+                if x + d - a < 2.0 * step or b - (x + d) < 2.0 * step:
+                    d = math.copysign(step, xm - x)
+        if not parabolic:
+            e = (a - x) if x >= xm else (b - x)
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= step else math.copysign(step, d))
+        fu = probe(u)[0]
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +511,7 @@ def _solve_grid2d(spec: ExtremumSpec) -> ExtremumResult:
     b_grid = [spec.b_s_fixed] if spec.b_s_fixed is not None else spec.b_s_range.log_grid()
     g_mesh, b_mesh = (a.ravel() for a in np.meshgrid(g_grid, b_grid, indexing="ij"))
 
-    best = None
+    best = near = None
     evals = 0
     for m in spec.m_values:
         outs = at(m, g_mesh, b_mesh)
@@ -416,9 +519,19 @@ def _solve_grid2d(spec: ExtremumSpec) -> ExtremumResult:
         i = int(np.argmin(outs[0]))  # the first minimum in (g, B_s) scan order
         if best is None or outs[0][i] < best[0][0]:
             best = (tuple(float(o[i]) for o in outs), m, float(g_mesh[i]), float(b_mesh[i]))
+        j = int(np.argmax(outs[1]))  # the nearest-feasible point, as a certificate
+        if near is None or outs[1][j] > near["margin"]:
+            g, b_s = float(g_mesh[j]), float(b_mesh[j])
+            near = {"m": m, "h": g * math.sqrt(b_s / 2.0), "g": g, "b_s": b_s,
+                    "c_f": 2.0 * float(outs[2][j]) / b_s, "w": float(outs[3][j]),
+                    "margin": float(outs[1][j])}
     out, m, g, b_s = best
     if not math.isfinite(out[0]):
-        raise InfeasibleSearchError("no feasible point on the 2-D grid", certificate={})
+        raise InfeasibleSearchError(
+            "no feasible point on the 2-D grid; best margin "
+            f"{near['margin']!r} at m={near['m']!r}, h={near['h']!r}",
+            certificate=near,
+        )
 
     # Coordinate refinement: in g at fixed B_s, then in B_s at fixed g.
     # The objective depends on h only, so one pass suffices.

@@ -100,12 +100,15 @@ def test_usage_errors_exit_2():
     assert "icpe_band_eps" in proc.stderr
 
 
-def test_infeasible_search_exits_3_with_certificate():
-    proc = run_cli("optimize", "--m", "2", "--cf-min", "25.0")
+@pytest.mark.parametrize("method", ["reduced", "grid2d"])
+def test_infeasible_search_exits_3_with_certificate(method):
+    proc = run_cli("optimize", "--m", "2", "--cf-min", "25.0", "--method", method)
     assert proc.returncode == 3
     assert "infeasible" in proc.stderr
-    cert_line = next(l for l in proc.stderr.splitlines() if "certificate" in l)
+    cert_line = next(l for l in proc.stderr.splitlines()
+                     if l.startswith("nearest-feasible certificate: "))
     cert = json.loads(cert_line.split("certificate: ", 1)[1])
+    assert set(cert) == {"m", "h", "g", "b_s", "c_f", "w", "margin"}
     assert cert["m"] == 2
     assert cert["margin"] < 0
 

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mchan.channel import ChannelPoint, ExactCoherentOrthogonal, capacity_bits_per_symbol
 from mchan.criteria import (
@@ -40,6 +42,16 @@ def test_icpe_depends_on_h_only():
         pt = ChannelPoint(m=8, g=g, b_s=b_s)
         assert pt.h == pytest.approx(h, rel=1e-12)
         assert icpe(pt, MODEL) == pytest.approx(ref, rel=1e-10)
+
+
+@settings(deadline=None, max_examples=25)
+@given(m=st.sampled_from((2, 4, 8, 16, 32, 64)), g=st.floats(0.1, 10.0),
+       b_s=st.floats(0.1, 100.0), s=st.floats(0.1, 10.0))
+def test_icpe_is_invariant_along_constant_h(m, g, b_s, s):
+    # (g, B_s) -> (g s, B_s / s^2) keeps h = g sqrt(B_s / 2), so w must not move.
+    w = icpe(ChannelPoint(m=m, g=g, b_s=b_s), MODEL)
+    w_scaled = icpe(ChannelPoint(m=m, g=g * s, b_s=b_s / (s * s)), MODEL)
+    assert w_scaled == pytest.approx(w, rel=1e-12)
 
 
 def test_icse_icpe_product_identity():

@@ -59,6 +59,22 @@ def test_reduced_and_grid2d_agree_unconstrained():
     assert b.note == "direct 2-D search"
 
 
+@settings(deadline=None, max_examples=25)
+@given(m=st.sampled_from(DEFAULT_M_SET),
+       g_lo=st.floats(1e-2, 1.0), g_decades=st.floats(0.5, 3.0), g_points=st.integers(3, 10),
+       b_lo=st.floats(0.1, 10.0), b_decades=st.floats(0.5, 3.0), b_points=st.integers(3, 10))
+# The best grid point is the window edge h_lo, and the probe inside it is better.
+@example(m=8, g_lo=1.0, g_decades=1.0, g_points=3, b_lo=1.0, b_decades=1.0, b_points=3)
+def test_reduced_and_grid2d_agree_on_small_grids(m, g_lo, g_decades, g_points,
+                                                 b_lo, b_decades, b_points):
+    spec = ExtremumSpec(m_fixed=m,
+                        g_range=GridRange(g_lo, g_lo * 10.0 ** g_decades, g_points),
+                        b_s_range=GridRange(b_lo, b_lo * 10.0 ** b_decades, b_points))
+    a = minimize_icpe(spec, "reduced")
+    b = minimize_icpe(spec, "grid2d")
+    assert b.w == pytest.approx(a.w, rel=1e-6)
+
+
 def test_reduced_and_grid2d_agree_constrained():
     spec = ExtremumSpec(m_fixed=4, ser_model=UnionBound(), c_f_min=1.0)
     a = minimize_icpe(spec, method="reduced")
@@ -126,6 +142,40 @@ def test_band_search_meets_its_cap_exactly_and_widens_with_eps(m):
     assert all(b >= a for a, b in zip(c_f, c_f[1:]))
 
 
+BAND_EPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
+
+@pytest.fixture(scope="module")
+def band_scan():
+    """(m, eps) -> (w_inf(m), band search result) over DEFAULT_M_SET x BAND_EPS."""
+    out = {}
+    for m in DEFAULT_M_SET:
+        w_inf = minimize_icpe(ExtremumSpec(m_fixed=m)).value
+        for eps in BAND_EPS:
+            out[m, eps] = w_inf, maximize_icse(ExtremumSpec(m_fixed=m, icpe_band_eps=eps))
+    return out
+
+
+@pytest.mark.parametrize("m", DEFAULT_M_SET)
+@pytest.mark.parametrize("eps", BAND_EPS)
+def test_band_search_reaches_the_band_edge(band_scan, m, eps):
+    # c_F rises with h up to the band edge w = w_inf (1 + eps), however
+    # narrow the band: at most 1 % of the band is left unused.
+    w_inf, res = band_scan[m, eps]
+    assert 0.0 <= res.constraint_slack["w_cap"] <= 1e-2 * eps * w_inf
+    assert res.constraint_active["w_cap"]
+
+
+def test_search_work_counts(band_scan):
+    # Deterministic guards on the refinement's cost (grid points included).
+    assert minimize_icpe(ExtremumSpec()).evaluations <= 460  # 425; 557 by golden section
+    # m = 2: the infimum sits on the window edge, and one probe inside it
+    # settles that after the 64-point grid.
+    assert minimize_icpe(ExtremumSpec(m_fixed=2)).evaluations == 65
+    total = sum(res.evaluations for _, res in band_scan.values())
+    assert total <= 5000  # 4558; 5576 by golden section
+
+
 @settings(deadline=None, max_examples=25)
 @given(m=st.sampled_from(DEFAULT_M_SET), k=st.integers(0, 56), maximise=st.booleans(),
        floor=st.floats(0.3, 0.999), cap=st.floats(1.001, 2.0))
@@ -150,15 +200,17 @@ def test_explicit_power_cap_binds():
     assert res.constraint_active["w_cap"]
 
 
-def test_infeasible_search_raises_with_certificate():
+@pytest.mark.parametrize("method", ["reduced", "grid2d"])
+def test_infeasible_search_raises_with_certificate(method):
     # c_F = 2 C / B_s <= 2 log2(2) / 0.1 = 20 over the whole region
     spec = ExtremumSpec(m_fixed=2, c_f_min=25.0)
     with pytest.raises(InfeasibleSearchError) as exc:
-        minimize_icpe(spec)
+        minimize_icpe(spec, method)
     cert = exc.value.certificate
-    for key in ("m", "h", "g", "b_s", "c_f", "w", "margin"):
-        assert key in cert
+    assert set(cert) == {"m", "h", "g", "b_s", "c_f", "w", "margin"}
+    assert cert["margin"] == pytest.approx(cert["c_f"] - 25.0, rel=1e-12)
     assert cert["margin"] < 0.0
+    assert cert["h"] == pytest.approx(cert["g"] * math.sqrt(cert["b_s"] / 2.0), rel=1e-12)
 
 
 def test_flatness_verifier_coarse_tolerance():
