@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 # and no numpy until a name from one is used.
 _LAZY = {
     "channel": ("ChannelPoint", "ExactCoherentOrthogonal", "SerModel", "UnionBound",
-                "capacity_bits_per_symbol", "q_function", "ser"),
+                "capacity_bits_per_symbol", "q_function"),
     "criteria": ("LinkBudget", "NoiseSpec", "cell_radius", "icce", "icie", "icpe",
                  "icpe_joule_forms", "icse"),
     "extremum": ("ExtremumResult", "ExtremumSpec", "GridRange", "InfeasibleSearchError",

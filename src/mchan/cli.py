@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_criteria(args):
-    from mchan.channel import ChannelPoint, ExactCoherentOrthogonal, UnionBound, ser
+    from mchan.channel import ChannelPoint, ExactCoherentOrthogonal, UnionBound
     from mchan.criteria import (LinkBudget, NoiseSpec, UndefinedCriterionError, cell_radius,
                                 icce, icpe, icpe_joule_forms, icse)
 
@@ -315,7 +315,7 @@ def _cmd_criteria(args):
     if args.m is None or args.g is None or args.b_s is None:
         raise UsageError("point mode needs --m, --g and --bs (or use --sweep-bs)")
     point = ChannelPoint(m=args.m, g=args.g, b_s=args.b_s)
-    p_err = ser(point, model)
+    p_err = model.ser(point.m, point.h)
     c_f = icse(point, model)
     try:
         w = icpe(point, model)

@@ -54,6 +54,9 @@ _MAX_REFINE_ITER = 200
 # A point within this many refinement tolerances of a window edge is
 # reported as a boundary (attained=False).
 _EDGE_FACTOR = 5.0
+# verify_statement3's grid points on the h window and its bound on the spread.
+_STATEMENT3_POINTS = 96
+_STATEMENT3_THRESHOLD = 1e-3
 
 
 class InfeasibleSearchError(ValueError):
@@ -391,18 +394,6 @@ def _evaluate(m: int, model: SerModel, h: np.ndarray, b_s: np.ndarray | float | 
     return np.where(margin >= 0.0, -c_f if maximise else w, np.inf), margin, c, w
 
 
-def _slack(c_f: float, w: float, c_f_min: float | None,
-           w_cap: float | None) -> tuple[dict[str, float], dict[str, bool]]:
-    """Signed margins (>= 0 when met) and active flags of the constraints in force."""
-    slack = {}
-    if c_f_min is not None:
-        slack["c_f_min"] = c_f - c_f_min
-    if w_cap is not None:
-        slack["w_cap"] = w_cap - w
-    bound = {"c_f_min": c_f_min, "w_cap": w_cap}
-    return slack, {k: s <= max(1e-9, 1e-6 * bound[k]) for k, s in slack.items()}
-
-
 def _map_back(spec: ExtremumSpec, h: float, prefer_min_base: bool) -> tuple[float, float]:
     """Choose a concrete (g, B_s) decomposition of h.
 
@@ -426,6 +417,43 @@ def _attained(h: float, h_lo: float, h_hi: float, tol: float) -> bool:
         return True
     edge = 1.0 + _EDGE_FACTOR * tol
     return h > h_lo * edge and h < h_hi / edge
+
+
+def _result(spec: ExtremumSpec, m: int, g: float, b_s: float, h: float,
+            out: tuple[float, ...], w_cap: float | None, evals: int,
+            note: str) -> ExtremumResult:
+    """The optimiser (m, g, b_s, h) from ``_evaluate``'s outputs there, under ceiling ``w_cap``."""
+    value, _, c, w = out
+    c_f = 2.0 * c / b_s
+    slack = {}
+    if spec.c_f_min is not None:
+        slack["c_f_min"] = c_f - spec.c_f_min
+    if w_cap is not None:
+        slack["w_cap"] = w_cap - w
+    bound = {"c_f_min": spec.c_f_min, "w_cap": w_cap}
+    h_lo, h_hi = _h_window(spec)
+    return ExtremumResult(
+        objective=spec.objective,
+        m=m,
+        g=g,
+        b_s=b_s,
+        h=h,
+        value=-value if spec.objective == "max_icse" else value,
+        c_f=c_f,
+        w=w,
+        attained=_attained(h, h_lo, h_hi, spec.tol),
+        constraint_slack=slack,
+        constraint_active={k: v <= max(1e-9, 1e-6 * bound[k]) for k, v in slack.items()},
+        evaluations=evals,
+        note=note,
+    )
+
+
+def _certificate(m: int, h: float, g: float, b_s: float, out: tuple[float, ...]) -> dict:
+    """A nearest-feasible point (m, h, g, b_s) from ``_evaluate``'s outputs ``out`` there."""
+    _, margin, c, w = out
+    return {"m": m, "h": h, "g": g, "b_s": b_s, "c_f": 2.0 * c / b_s, "w": w,
+            "margin": margin}
 
 
 def _solve_reduced(spec: ExtremumSpec) -> ExtremumResult:
@@ -452,34 +480,16 @@ def _solve_reduced(spec: ExtremumSpec) -> ExtremumResult:
             return _evaluate(m, model, h, _b_s_compat(spec, h)[0], maximise,
                              spec.c_f_min, w_cap)
 
-        h, (value, margin, c, w), evals = _minimise(objective, h_lo, h_hi, points, spec.tol,
-                                                   seed=h_seed)
+        h, out, evals = _minimise(objective, h_lo, h_hi, points, spec.tol, seed=h_seed)
         total_evals += evals
-        if not margin >= 0.0:
+        if not out[1] >= 0.0:
             # The nearest-feasible point of the scan grid, as a certificate.
             g, b_s = _map_back(spec, h, prefer_min_base=True)
-            near_misses.append({"m": m, "h": h, "g": g, "b_s": b_s, "c_f": 2.0 * c / b_s,
-                                "w": w, "margin": margin})
+            near_misses.append(_certificate(m, h, g, b_s, out))
             continue
 
         g, b_s = _map_back(spec, h, prefer_min_base=spec.c_f_min is not None or maximise)
-        c_f = 2.0 * c / b_s
-        slack, active = _slack(c_f, w, spec.c_f_min, w_cap)
-        per_m.append(ExtremumResult(
-            objective=spec.objective,
-            m=m,
-            g=g,
-            b_s=b_s,
-            h=h,
-            value=-value if maximise else value,
-            c_f=c_f,
-            w=w,
-            attained=_attained(h, h_lo, h_hi, spec.tol),
-            constraint_slack=slack,
-            constraint_active=active,
-            evaluations=evals,
-            note=band_note,
-        ))
+        per_m.append(_result(spec, m, g, b_s, h, out, w_cap, evals, band_note))
 
     if not per_m:
         cert = max(near_misses, key=lambda c: c["margin"]) if near_misses else {}
@@ -522,9 +532,8 @@ def _solve_grid2d(spec: ExtremumSpec) -> ExtremumResult:
         j = int(np.argmax(outs[1]))  # the nearest-feasible point, as a certificate
         if near is None or outs[1][j] > near["margin"]:
             g, b_s = float(g_mesh[j]), float(b_mesh[j])
-            near = {"m": m, "h": g * math.sqrt(b_s / 2.0), "g": g, "b_s": b_s,
-                    "c_f": 2.0 * float(outs[2][j]) / b_s, "w": float(outs[3][j]),
-                    "margin": float(outs[1][j])}
+            near = _certificate(m, g * math.sqrt(b_s / 2.0), g, b_s,
+                                tuple(float(o[j]) for o in outs))
     out, m, g, b_s = best
     if not math.isfinite(out[0]):
         raise InfeasibleSearchError(
@@ -543,27 +552,8 @@ def _solve_grid2d(spec: ExtremumSpec) -> ExtremumResult:
         r = spec.b_s_range
         b_s, out, n = _minimise(lambda x: at(m, g, x), r.lo, r.hi, r.points, spec.tol)
         evals += n
-
-    value, _, c, w = out
-    c_f = 2.0 * c / b_s
-    h = g * math.sqrt(b_s / 2.0)
-    slack, active = _slack(c_f, w, spec.c_f_min, spec.w_cap)
-    h_lo, h_hi = _h_window(spec)
-    return ExtremumResult(
-        objective=spec.objective,
-        m=m,
-        g=g,
-        b_s=b_s,
-        h=h,
-        value=-value if maximise else value,
-        c_f=c_f,
-        w=w,
-        attained=_attained(h, h_lo, h_hi, spec.tol),
-        constraint_slack=slack,
-        constraint_active=active,
-        evaluations=evals,
-        note="direct 2-D search",
-    )
+    return _result(spec, m, g, b_s, g * math.sqrt(b_s / 2.0), out, spec.w_cap, evals,
+                   "direct 2-D search")
 
 
 _METHODS = {"reduced": _solve_reduced, "grid2d": _solve_grid2d}
@@ -624,14 +614,13 @@ def verify_statement1(
     b_s_grid: GridRange | None = None,
     model: SerModel | None = None,
     tol: float = 1e-6,
-    threshold: float | None = None,
 ) -> FlatnessReport:
     """Check that min_g ICPE(g, B_s) does not depend on B_s.
 
     For each base on ``b_s_grid`` the power criterion is minimised over
     the induced h-window; the relative spread of those minima is compared
-    against ``threshold`` (default: max(1e-6, tol), since a coarse
-    refinement tolerance caps the achievable flatness).
+    against the threshold max(1e-6, tol), since a coarse refinement
+    tolerance caps the achievable flatness.
 
     The default model is :class:`ExactCoherentOrthogonal`, whose fixed
     rule is smooth in h, so the minima differ by far less than 1e-6 even
@@ -643,8 +632,7 @@ def verify_statement1(
         b_s_grid = GridRange(0.1, 100.0, 13)
     if model is None:
         model = ExactCoherentOrthogonal()
-    if threshold is None:
-        threshold = max(1e-6, tol)
+    threshold = max(1e-6, tol)
 
     rows = []
     for b_s in b_s_grid.log_grid():
@@ -695,17 +683,16 @@ def verify_statement3(
     g_values: tuple[float, ...] | list[float],
     model: SerModel | None = None,
     h_window: tuple[float, float] = (1e-2, 50.0),
-    points: int = 96,
     tol: float = 1e-6,
-    threshold: float = 1e-3,
 ) -> MonotonicityReport:
     """Check that the ICPE-optimal base falls as g^-2.
 
     The power criterion depends on (g, B_s) only through h, so its
-    minimiser h* is found once on ``h_window`` and the optimal base for
+    minimiser h* is found once on ``h_window`` = (lo, hi), 0 < lo < hi
+    (a log grid of 96 points, then refinement), and the optimal base for
     each amplitude is the map-back B_s*(g) = 2 (h*/g)**2.  The report
     records strict monotonicity of B_s*(g) and the relative spread of the
-    invariant product B_s* * g**2 (= 2 h*^2).
+    invariant product B_s* * g**2 (= 2 h*^2), which passes at <= 1e-3.
 
     For m = 2 the criterion has no interior minimum; h* is then the lower
     window edge and ``attained`` is False — the mapped bases are the
@@ -719,7 +706,9 @@ def verify_statement3(
     if model is None:
         model = ExactCoherentOrthogonal()
     h_lo, h_hi = h_window
-    h_star, (w_inf, *_), _ = _minimise(partial(_evaluate, m, model), h_lo, h_hi, points, tol)
+    GridRange(h_lo, h_hi)  # refuses an empty or reversed window
+    h_star, (w_inf, *_), _ = _minimise(partial(_evaluate, m, model), h_lo, h_hi,
+                                       _STATEMENT3_POINTS, tol)
 
     rows = []
     for g in g_sorted:
@@ -737,8 +726,8 @@ def verify_statement3(
         rows=tuple(rows),
         strictly_decreasing=decreasing,
         product_spread_rel=spread,
-        threshold=threshold,
-        passed=decreasing and spread <= threshold,
+        threshold=_STATEMENT3_THRESHOLD,
+        passed=decreasing and spread <= _STATEMENT3_THRESHOLD,
     )
 
 

@@ -16,7 +16,8 @@ estimators report
     P = sum_sources w_s / T * sqrt(mean K**2),
 
 the per-source root-mean-square correlation scaled by the symbol
-duration T, with a delta-method standard error.
+duration T, measured in chips (T = L), with a delta-method standard
+error.
 
 Reproducibility: each trial draws from its own child of
 numpy.random.SeedSequence(seed), so estimates are independent of trial
@@ -92,19 +93,14 @@ def _parity(v: np.ndarray) -> np.ndarray:
 class SignalEnsemble:
     """A cell's set of unit-amplitude +/-1 signals on a common chip grid."""
 
-    def __init__(self, signals: np.ndarray, chip_duration: float = 1.0, cell_id: int = 0,
-                 kind: str = "custom"):
+    def __init__(self, signals: np.ndarray, cell_id: int = 0):
         signals = np.asarray(signals)
         if signals.ndim != 2 or signals.shape[0] < 1 or signals.shape[1] < 2:
             raise ValueError("signals must be a 2-D array, one row per signal")
         if not np.isin(signals, (-1, 1)).all():
             raise ValueError("signal chips must be +/-1")
-        if not (chip_duration > 0.0 and math.isfinite(chip_duration)):
-            raise ValueError(f"chip duration must be finite and > 0, got {chip_duration!r}")
         self.signals = signals.astype(np.int8)
-        self.chip_duration = float(chip_duration)
         self.cell_id = int(cell_id)
-        self.kind = kind
 
     @property
     def n_signals(self) -> int:
@@ -116,12 +112,12 @@ class SignalEnsemble:
 
     @property
     def symbol_duration(self) -> float:
-        return self.n_chips * self.chip_duration
+        """T in chips: the chip is the unit of time."""
+        return float(self.n_chips)
 
     @classmethod
-    def walsh(cls, scrambler: MSequence, rows: int | list[int] | tuple[int, ...],
-              chip_duration: float = 1.0, cell_id: int = 0) -> "SignalEnsemble":
-        """Walsh rows scrambled by the cell's m-sequence.
+    def walsh(cls, scrambler: MSequence, rows: int, cell_id: int = 0) -> "SignalEnsemble":
+        """The first ``rows`` Walsh rows, scrambled by the cell's m-sequence.
 
         The Walsh order is 2**n for the scrambler degree n; the
         period-(2**n - 1) scrambler is extended cyclically by one chip to
@@ -129,25 +125,17 @@ class SignalEnsemble:
         preserves the exact zero-offset orthogonality of the rows.
         """
         L = 1 << scrambler.n
-        if isinstance(rows, int):
-            if rows < 1 or rows > L:
-                raise ValueError(f"row count must be in [1, {L}], got {rows}")
-            row_ids = np.arange(rows)
-        else:
-            row_ids = np.asarray(rows, dtype=np.int64)
-            if row_ids.size < 1 or row_ids.min() < 0 or row_ids.max() >= L:
-                raise ValueError(f"row indices must lie in [0, {L - 1}]")
-            if np.unique(row_ids).size != row_ids.size:
-                raise ValueError("row indices must be distinct")
+        if rows < 1 or rows > L:
+            raise ValueError(f"row count must be in [1, {L}], got {rows}")
         k = np.arange(L, dtype=np.int64)
-        walsh = 1 - 2 * _parity(row_ids[:, None] & k[None, :]).astype(np.int16)
+        walsh = 1 - 2 * _parity(np.arange(rows)[:, None] & k[None, :]).astype(np.int16)
         scramble = np.concatenate([scrambler.chips, scrambler.chips[:1]]).astype(np.int16)
         signals = (walsh * scramble[None, :]).astype(np.int8)
-        return cls(signals, chip_duration, cell_id, kind="walsh")
+        return cls(signals, cell_id)
 
     @classmethod
     def cyclic_shifts(cls, sequence: MSequence, shifts: int | list[int] | tuple[int, ...],
-                      chip_duration: float = 1.0, cell_id: int = 0) -> "SignalEnsemble":
+                      cell_id: int = 0) -> "SignalEnsemble":
         """Cyclic shifts of one m-sequence (near-orthogonal: R = -1 off-peak).
 
         An integer ``shifts`` selects that many shifts spread evenly over
@@ -163,12 +151,7 @@ class SignalEnsemble:
             if len(set(shift_vals)) != len(shift_vals):
                 raise ValueError("shifts must be distinct modulo the period")
         signals = np.stack([np.roll(sequence.chips, s) for s in shift_vals])
-        return cls(signals, chip_duration, cell_id, kind="cyclic_shifts")
-
-    def zero_offset_gram(self) -> np.ndarray:
-        """Exact integer correlation matrix at zero offset (for checks)."""
-        s = self.signals.astype(np.int64)
-        return s @ s.T
+        return cls(signals, cell_id)
 
 
 @dataclass(frozen=True)
@@ -192,11 +175,8 @@ class CellLayout:
 
     def __post_init__(self) -> None:
         for cell in self.interferers:
-            e = cell.ensemble
-            if e.n_chips != self.reference.n_chips:
+            if cell.ensemble.n_chips != self.reference.n_chips:
                 raise ValueError("all cells must share the chip count of the reference")
-            if e.chip_duration != self.reference.chip_duration:
-                raise ValueError("all cells must share the chip duration of the reference")
 
 
 @dataclass(frozen=True)
@@ -545,8 +525,8 @@ def sinr_surface(timing_grid, phase_grid, *, ensemble: SignalEnsemble | None = N
 
 
 def degree_interference_sweep(degrees, trials: int, seed: int, signals_per_cell: int = 4,
-                              errors: SyncErrorModel | None = None,
-                              chip_duration: float = 1.0) -> list[tuple[int, float, float]]:
+                              errors: SyncErrorModel | None = None
+                              ) -> list[tuple[int, float, float]]:
     """Inter-cell interference versus register length (one interfering cell).
 
     For each degree n the reference cell uses the table m-sequence and
@@ -567,10 +547,8 @@ def degree_interference_sweep(degrees, trials: int, seed: int, signals_per_cell:
     rows = []
     for n in degrees:
         own, other = distinct_msequences(n, 2)
-        ref_ens = SignalEnsemble.cyclic_shifts(own, signals_per_cell, chip_duration,
-                                               cell_id=0)
-        int_ens = SignalEnsemble.cyclic_shifts(other, signals_per_cell, chip_duration,
-                                               cell_id=1)
+        ref_ens = SignalEnsemble.cyclic_shifts(own, signals_per_cell, cell_id=0)
+        int_ens = SignalEnsemble.cyclic_shifts(other, signals_per_cell, cell_id=1)
         layout = CellLayout(reference=ref_ens,
                             interferers=(InterferingCell(ensemble=int_ens, weight=1.0),))
         est = _inter_power(*_inter_terms(layout, 0), errors, draw, ref_ens.symbol_duration,

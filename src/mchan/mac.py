@@ -47,7 +47,6 @@ __all__ = [
     "SimResult",
     "StationAllocation",
     "TokenAllocation",
-    "TokenRequest",
     "allocate_identifiers",
     "geometric_entropy",
     "md1_limits",
@@ -326,18 +325,6 @@ class OverSubscriptionError(ValueError):
 
 
 @dataclass(frozen=True)
-class TokenRequest:
-    station: int
-    share: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.station, int) or self.station < 0:
-            raise ValueError(f"station id must be a non-negative integer, got {self.station!r}")
-        if not (self.share >= 0.0 and math.isfinite(self.share)):
-            raise ValueError(f"share must be finite and >= 0, got {self.share!r}")
-
-
-@dataclass(frozen=True)
 class StationAllocation:
     station: int
     share: float
@@ -383,32 +370,28 @@ def allocate_identifiers(requests, n: int, sequence: MSequence | None = None) ->
     """Apportion the 2**n - 1 window identifiers to stations by activity.
 
     ``requests`` is a mapping station -> share or an iterable of
-    (station, share) pairs / :class:`TokenRequest`.  Counts follow
-    largest-remainder apportionment of the quotas share / total * pool
-    with a guaranteed minimum of one identifier per station (remainders
-    broken by larger fractional part, then lower station id).  If the
-    minimum lifts push past the pool size a
-    :class:`OverSubscriptionError` is raised.
+    (station, share) pairs; a station is a non-negative int and a share a
+    finite number >= 0.  Counts follow largest-remainder apportionment of
+    the quotas share / total * pool with a guaranteed minimum of one
+    identifier per station (remainders broken by larger fractional part,
+    then lower station id).  If the minimum lifts push past the pool size
+    a :class:`OverSubscriptionError` is raised.
 
     Identifiers are the cyclic n-bit windows of ``sequence`` (default:
     the table m-sequence of degree n); every station gets a contiguous
     block of window positions, ordered by the recursive near-equal-weight
     split of the shares, so the sets are disjoint by the window property.
     """
-    if isinstance(requests, dict):
-        pairs = [TokenRequest(int(k), float(v)) for k, v in requests.items()]
-    else:
-        pairs = []
-        for item in requests:
-            if isinstance(item, TokenRequest):
-                pairs.append(item)
-            else:
-                station, share = item
-                pairs.append(TokenRequest(int(station), float(share)))
+    pairs = list(requests.items() if isinstance(requests, dict) else requests)
     if not pairs:
         raise ValueError("no stations to allocate to")
-    ids = [r.station for r in pairs]
-    if len(set(ids)) != len(ids):
+    for station, share in pairs:
+        if not isinstance(station, int) or station < 0:
+            raise ValueError(f"station id must be a non-negative integer, got {station!r}")
+        if not (share >= 0.0 and math.isfinite(share)):
+            raise ValueError(f"share must be finite and >= 0, got {share!r}")
+    share_of = dict(pairs)
+    if len(share_of) != len(pairs):
         raise ValueError("station ids must be unique")
 
     if sequence is None:
@@ -418,15 +401,15 @@ def allocate_identifiers(requests, n: int, sequence: MSequence | None = None) ->
     if sequence.n != n:
         raise ValueError(f"sequence degree {sequence.n} does not match n={n}")
     pool = (1 << n) - 1
-    if len(pairs) > pool:
+    if len(share_of) > pool:
         raise OverSubscriptionError(
-            f"{len(pairs)} stations but only {pool} identifiers of degree {n}"
+            f"{len(share_of)} stations but only {pool} identifiers of degree {n}"
         )
-    total_share = math.fsum(r.share for r in pairs)
+    total_share = math.fsum(share_of.values())
     if total_share <= 0.0:
         raise ValueError("total share must be > 0")
 
-    quotas = {r.station: r.share / total_share * pool for r in pairs}
+    quotas = {s: share / total_share * pool for s, share in share_of.items()}
     base = {s: max(1, math.floor(q)) for s, q in quotas.items()}
     remainder = pool - sum(base.values())
     if remainder < 0:
@@ -444,7 +427,6 @@ def allocate_identifiers(requests, n: int, sequence: MSequence | None = None) ->
     for s in order[:remainder]:
         counts[s] += 1
 
-    share_of = {r.station: r.share for r in pairs}
     blocks = sorted(((s, share_of[s], counts[s]) for s in counts),
                     key=lambda t: (-t[1], t[0]))
     placed = _split_order(blocks)

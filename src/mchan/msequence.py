@@ -33,7 +33,6 @@ __all__ = [
     "distinct_msequences",
     "generate_msequence",
     "periodic_autocorrelation",
-    "reciprocal_taps",
 ]
 
 # Known-good feedback taps (exponents of the feedback polynomial, the
@@ -99,21 +98,11 @@ class MSequence:
     def period(self) -> int:
         return self.bits.size
 
-    def window_value(self, j: int) -> int:
-        """Value of the cyclic n-bit window ending at position j.
-
-        The window reads b[j-n+1] ... b[j] with the oldest bit as the
-        most significant; over j = 0 .. N-1 every value 1 .. 2**n - 1
-        occurs exactly once.
-        """
-        n = self.n
-        value = 0
-        for i in range(n):
-            value = (value << 1) | int(self.bits[(j - n + 1 + i) % self.period])
-        return value
-
     def window_values(self) -> np.ndarray:
-        """All N cyclic window values as an int64 array (a permutation of 1..N)."""
+        """All N cyclic window values, an int64 permutation of 1..N.
+
+        Entry j reads b[j-n+1] ... b[j] (cyclically), oldest bit most significant.
+        """
         n = self.n
         return _window_values(np.concatenate([self.bits[self.period - n + 1:], self.bits]),
                               n, self.period)
@@ -237,19 +226,6 @@ def periodic_autocorrelation(chips: np.ndarray) -> np.ndarray:
     return np.rint(r).astype(np.int64)
 
 
-def reciprocal_taps(taps: tuple[int, ...]) -> tuple[int, ...]:
-    """Exponents of the reciprocal polynomial x**n * f(1/x).
-
-    The reciprocal of a primitive polynomial is primitive and generates
-    the time-reversed sequence.
-    """
-    n = max(taps)
-    exps = set(taps) | {0}
-    rec = {n - e for e in exps}
-    rec.discard(0)
-    return tuple(sorted(rec, reverse=True))
-
-
 def decimate(seq: MSequence, q: int) -> MSequence:
     """Decimation d[k] = b[(q k) mod N]; an m-sequence again when gcd(q, N) = 1."""
     N = seq.period
@@ -265,18 +241,18 @@ def _coset(q: int, n: int, N: int) -> frozenset[int]:
     return frozenset((q << i) % N for i in range(n))
 
 
-def distinct_msequences(n: int, count: int, taps: tuple[int, ...] | None = None) -> list[MSequence]:
+def distinct_msequences(n: int, count: int) -> list[MSequence]:
     """``count`` cyclically distinct m-sequences of the same degree.
 
-    The first is the table (or caller-tapped) sequence; the rest are
-    decimations by representatives of distinct cyclotomic cosets, which
-    covers the reciprocal sequence and beyond.  Raises ValueError when
-    fewer than ``count`` distinct sequences exist (there are
-    euler_phi(2**n - 1) / n in total).
+    The first is the table sequence of degree n; the rest are decimations
+    of it by representatives of distinct cyclotomic cosets, which covers
+    the reciprocal sequence and beyond.  Raises ValueError when fewer than
+    ``count`` distinct sequences exist (there are euler_phi(2**n - 1) / n
+    in total).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    base = generate_msequence(n, taps)
+    base = generate_msequence(n)
     out = [base]
     if count == 1:
         return out

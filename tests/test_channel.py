@@ -17,7 +17,6 @@ from mchan.channel import (
     UnionBound,
     capacity_bits_per_symbol,
     q_function,
-    ser,
 )
 
 EXACT = ExactCoherentOrthogonal()
@@ -71,6 +70,24 @@ def test_exact_ser_relative_accuracy_in_the_tail(m):
         assert EXACT.ser(m, h) == pytest.approx(ref, rel=1e-8, abs=0.0)
         checked += 1
     assert checked >= 14  # down to p ~ 1e-15, past h = 6.5
+
+
+def test_exact_ser_is_refused_above_its_validated_m():
+    m = channel._RULE_MAX_M
+    assert m == 64
+    worst = 0.0
+    for i in range(0, 19):
+        h = i / 2.0
+        ref = scipy_tail_ser(m, h)
+        if ref < 1e-15:
+            break
+        worst = max(worst, abs(EXACT.ser(m, h) - ref) / ref)
+    assert worst <= 1e-13
+    with pytest.raises(ChannelDomainError, match="m <= 64"):
+        EXACT.ser(m + 1, 1.0)
+    with pytest.raises(ChannelDomainError):
+        EXACT.ser(1024, np.array([1.0, 2.0]))
+    assert UnionBound().ser(1024, 5.0) == pytest.approx(1023 * q_function(5.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("m,h", [(2, 0.5), (4, 1.0), (8, 1.5), (16, 0.2), (32, 2.5), (64, 3.0)])
@@ -226,9 +243,6 @@ def test_capacity_domain_errors():
 def test_channel_point_esinr():
     pt = ChannelPoint(m=4, g=2.0, b_s=8.0)
     assert pt.h == pytest.approx(4.0, rel=1e-15)
-    phys = ChannelPoint.from_bandwidth(m=4, g=2.0, bandwidth_hz=2.0, symbol_duration_s=2.0)
-    assert phys.b_s == 8.0
-    assert phys.h == pt.h
 
 
 def test_channel_point_validation():
@@ -238,13 +252,4 @@ def test_channel_point_validation():
         ChannelPoint(m=4, g=0.0, b_s=2.0)
     with pytest.raises(ChannelDomainError):
         ChannelPoint(m=4, g=1.0, b_s=-2.0)
-    with pytest.raises(ChannelDomainError):
-        ChannelPoint(m=4, g=1.0, b_s=2.0, bandwidth_hz=1.0)  # missing duration
-    with pytest.raises(ChannelDomainError):
-        ChannelPoint(m=4, g=1.0, b_s=2.0, bandwidth_hz=5.0, symbol_duration_s=5.0)
-
-
-def test_ser_wrapper_uses_point_esinr():
-    pt = ChannelPoint(m=2, g=1.0, b_s=2.0)  # h = 1
-    assert ser(pt, EXACT) == EXACT.ser(2, 1.0)
 

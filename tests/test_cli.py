@@ -1,5 +1,6 @@
 """Command-line interface: output format, exit codes, header round-trips."""
 
+import importlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import mchan
 import mchan.cli as cli
 from mchan.channel import (ChannelDomainError, ChannelPoint, ExactCoherentOrthogonal,
-                           QuadratureError, ser)
+                           QuadratureError)
 from mchan.criteria import UndefinedCriterionError, icpe, icse
 from mchan.extremum import GridRange
 from mchan.mac import OverSubscriptionError
@@ -56,7 +57,7 @@ def test_criteria_point_matches_library():
     point = ChannelPoint(m=4, g=1.0, b_s=2.0)
     assert row["m"] == "4"
     assert float(row["h"]) == point.h
-    assert row["p"] == repr(ser(point, model))
+    assert row["p"] == repr(model.ser(point.m, point.h))
     assert row["c_f"] == repr(icse(point, model))
     assert row["w"] == repr(icpe(point, model))
 
@@ -98,19 +99,72 @@ def test_usage_errors_exit_2():
                    "--method", "grid2d")  # the band needs the reduced search
     assert proc.returncode == 2
     assert "icpe_band_eps" in proc.stderr
+    for window in ("5:1", "2:2"):  # reversed and empty statement-3 windows
+        proc = run_cli("optimize", "--verify", "statement3", "--m", "8", "--h-window", window)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: range hi must be finite and > lo")
+        assert proc.stdout == ""
+
+
+def test_exact_ser_bound_exits_2(capsys):
+    point = ["--g", "2", "--bs", "2"]
+    assert cli.main(["criteria", "--m", "64", *point]) == 0
+    assert cli.main(["criteria", "--m", "65", *point]) == 2
+    assert "validated for m <= 64" in capsys.readouterr().err
+    assert cli.main(["criteria", "--m", "1024", *point]) == 2
+    assert cli.main(["criteria", "--m", "1024", *point, "--ser", "union"]) == 0
+    assert cli.main(["optimize", "--m", "65"]) == 2
+
+
+# Frozen stderr of each infeasible search: the certificate helper that both
+# solvers share must not move a digit.
+INFEASIBLE_STDERR = {
+    "reduced": (
+        "infeasible: no feasible point in the search region; best margin "
+        "-7.935037116990841 at m=2, h=2.319305821298884\n"
+        'nearest-feasible certificate: {"b_s": 0.10758358985421781, "c_f": 17.06496288300916, '
+        '"g": 10.0, "h": 2.319305821298884, "m": 2, "margin": -7.935037116990841, '
+        '"w": 5.859960006099143}\n'),
+    "grid2d": (
+        "infeasible: no feasible point on the 2-D grid; best margin "
+        "-6.960751242098709 at m=2, h=2.23606797749979\n"
+        'nearest-feasible certificate: {"b_s": 0.1, "c_f": 18.03924875790129, "g": 10.0, '
+        '"h": 2.23606797749979, "m": 2, "margin": -6.960751242098709, '
+        '"w": 5.543468097927274}\n'),
+}
 
 
 @pytest.mark.parametrize("method", ["reduced", "grid2d"])
 def test_infeasible_search_exits_3_with_certificate(method):
-    proc = run_cli("optimize", "--m", "2", "--cf-min", "25.0", "--method", method)
+    proc = run_cli("optimize", "--m", "2", "--cf-min", "25", "--method", method)
     assert proc.returncode == 3
-    assert "infeasible" in proc.stderr
-    cert_line = next(l for l in proc.stderr.splitlines()
-                     if l.startswith("nearest-feasible certificate: "))
-    cert = json.loads(cert_line.split("certificate: ", 1)[1])
-    assert set(cert) == {"m", "h", "g", "b_s", "c_f", "w", "margin"}
-    assert cert["m"] == 2
-    assert cert["margin"] < 0
+    assert proc.stdout == ""
+    assert proc.stderr == INFEASIBLE_STDERR[method]
+
+
+def test_optimize_grid2d_output_is_frozen():
+    proc = run_cli("optimize", "--m", "8", "--method", "grid2d")
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "# mchan 0.1.0\n"
+        "# command=optimize\n"
+        "# param bs_range=0.1:1000.0:64\n"
+        "# param format=csv\n"
+        "# param g_list=0.5,1.0,2.0\n"
+        "# param g_range=0.01:10.0:64\n"
+        "# param h_window=0.01:50.0\n"
+        "# param m=8\n"
+        "# param m_set=2,4,8,16,32,64\n"
+        "# param method=grid2d\n"
+        "# param objective=min-icpe\n"
+        "# param seed=0\n"
+        "# param tol=1e-06\n"
+        "# result evaluations=4238\n"
+        "# result note=direct 2-D search\n"
+        "objective,m,g,b_s,h,value,c_f,w,attained\n"
+        "min_icpe,8,0.46863611737471794,12.451970847350331,1.169337307612061,"
+        "1.4854346175278683,0.14784885710658355,1.4854346175278683,true\n"
+    )
 
 
 def test_narrow_band_search_succeeds():
@@ -392,6 +446,55 @@ def test_lazy_exports_are_their_home_objects():
     assert mchan.__getattr__("mac") is sys.modules["mchan.mac"]
     with pytest.raises(AttributeError, match="no_such_name"):
         mchan.no_such_name
+
+
+# The public surface, name by name: adding or removing a public name is an
+# edit to these sets.
+PUBLIC_SURFACE = {
+    "channel": {"ChannelDomainError", "ChannelPoint", "ExactCoherentOrthogonal",
+                "QuadratureError", "SerModel", "UnionBound", "capacity_bits_per_symbol",
+                "q_function"},
+    "criteria": {"LinkBudget", "NoCoverageError", "NoiseSpec", "UndefinedCriterionError",
+                 "cell_radius", "icce", "icie", "icpe", "icpe_joule_forms", "icpe_of_esinr",
+                 "icse"},
+    "extremum": {"CurvePoint", "DEFAULT_M_SET", "ExtremumResult", "ExtremumSpec",
+                 "FlatnessReport", "FlatnessRow", "GridRange", "InfeasibleSearchError",
+                 "MonotonicityReport", "MonotonicityRow", "maximize_icse", "minimize_icpe",
+                 "sweep_curves", "verify_statement1", "verify_statement3"},
+    "interference": {"CellLayout", "InterferenceEstimate", "InterferingCell", "SignalEnsemble",
+                     "SurfacePoint", "SurfaceResult", "SyncErrorModel",
+                     "degree_interference_sweep", "inter_cell_interference",
+                     "intra_cell_interference", "sinr_surface"},
+    "mac": {"LoadPoint", "MD1_OVERHEAD_CONSTANT", "MacLimits", "MacModel",
+            "OverSubscriptionError", "SimConfig", "SimResult", "StationAllocation",
+            "TokenAllocation", "allocate_identifiers", "geometric_entropy", "md1_limits",
+            "mm1_limits", "simulate_tdma"},
+    "msequence": {"MSequence", "NonPrimitiveTapsError", "PRIMITIVE_TAPS", "decimate",
+                  "distinct_msequences", "generate_msequence", "periodic_autocorrelation"},
+    "cli": {"main"},
+}
+PACKAGE_SURFACE = {
+    "__version__", "ChannelPoint", "ExactCoherentOrthogonal", "SerModel", "UnionBound",
+    "capacity_bits_per_symbol", "q_function", "LinkBudget", "NoiseSpec", "cell_radius", "icce",
+    "icie", "icpe", "icpe_joule_forms", "icse", "ExtremumResult", "ExtremumSpec", "GridRange",
+    "InfeasibleSearchError", "maximize_icse", "minimize_icpe", "sweep_curves",
+    "verify_statement1", "verify_statement3", "CellLayout", "InterferingCell", "SignalEnsemble",
+    "SyncErrorModel", "inter_cell_interference", "intra_cell_interference", "sinr_surface",
+    "MacModel", "SimConfig", "TokenAllocation", "allocate_identifiers", "geometric_entropy",
+    "md1_limits", "mm1_limits", "simulate_tdma", "MSequence", "NonPrimitiveTapsError",
+    "distinct_msequences", "generate_msequence", "periodic_autocorrelation",
+}
+
+
+def test_public_surface_is_frozen():
+    assert set(mchan.__all__) == PACKAGE_SURFACE
+    assert len(mchan.__all__) == len(PACKAGE_SURFACE)  # no name listed twice
+    for layer, names in PUBLIC_SURFACE.items():
+        module = importlib.import_module(f"mchan.{layer}")
+        assert set(module.__all__) == names, layer
+        assert all(hasattr(module, name) for name in names), layer
+    for layer, names in mchan._LAZY.items():
+        assert set(names) <= PUBLIC_SURFACE[layer], layer
 
 
 @pytest.mark.parametrize("value, fmt, cell, native", [

@@ -230,8 +230,7 @@ def test_flatness_verifier_coarse_tolerance():
 
 
 def test_monotonicity_verifier_interior_m():
-    report = verify_statement3(8, g_values=(0.5, 1.0, 2.0), points=48,
-                               h_window=(1e-2, 10.0))
+    report = verify_statement3(8, g_values=(0.5, 1.0, 2.0), h_window=(1e-2, 10.0))
     assert report.passed
     assert report.attained
     assert report.h_star == pytest.approx(H_STAR[8], rel=1e-4)
@@ -244,11 +243,18 @@ def test_monotonicity_verifier_interior_m():
 
 
 def test_monotonicity_verifier_binary_boundary():
-    report = verify_statement3(2, g_values=(0.5, 1.0, 2.0), points=32,
-                               h_window=(1e-2, 5.0), tol=1e-4)
+    report = verify_statement3(2, g_values=(0.5, 1.0, 2.0), h_window=(1e-2, 5.0), tol=1e-4)
     assert not report.attained  # no interior minimum for m = 2
     assert report.strictly_decreasing
     assert report.passed
+    assert report.threshold == 1e-3
+
+
+@pytest.mark.parametrize("h_window", [(5.0, 1.0), (2.0, 2.0), (0.0, 5.0), (1.0, math.inf)])
+def test_monotonicity_verifier_refuses_an_empty_window(h_window):
+    # A reversed or empty window has no minimiser; its lo must not pass as one.
+    with pytest.raises(ValueError, match="range"):
+        verify_statement3(8, g_values=(0.5, 1.0, 2.0), h_window=h_window)
 
 
 def test_sweep_curves_consistency():

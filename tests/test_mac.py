@@ -15,7 +15,6 @@ from mchan.mac import (
     MacModel,
     OverSubscriptionError,
     SimConfig,
-    TokenRequest,
     _lindley,
     allocate_identifiers,
     geometric_entropy,
@@ -309,8 +308,7 @@ def test_allocation_identifiers_come_from_the_window_map():
     alloc = allocate_identifiers({0: 1.0}, n=3, sequence=seq)
     station = alloc.stations[0]
     assert station.count == 7
-    expected = [seq.window_value(j) for j in station.positions]
-    assert list(station.identifiers) == expected
+    assert list(station.identifiers) == seq.window_values()[list(station.positions)].tolist()
 
 
 def test_allocation_positions_are_ranges():
@@ -348,10 +346,7 @@ def test_allocation_oversubscription():
 def test_allocation_input_forms():
     as_dict = allocate_identifiers({1: 2.0, 2: 1.0}, n=3)
     as_pairs = allocate_identifiers([(1, 2.0), (2, 1.0)], n=3)
-    as_requests = allocate_identifiers(
-        [TokenRequest(station=1, share=2.0), TokenRequest(station=2, share=1.0)], n=3
-    )
-    assert as_dict == as_pairs == as_requests
+    assert as_dict == as_pairs
     sets = as_dict.identifier_sets()
     assert set(sets) == {1, 2}
 
@@ -363,7 +358,7 @@ def test_allocation_validation():
         allocate_identifiers({1: 0.0, 2: 0.0}, n=3)  # no positive share
     with pytest.raises(ValueError):
         allocate_identifiers([(1, 1.0), (1, 2.0)], n=3)  # duplicate station
-    with pytest.raises(ValueError):
-        TokenRequest(station=-1, share=1.0)
-    with pytest.raises(ValueError):
-        TokenRequest(station=1, share=-0.5)
+    with pytest.raises(ValueError, match="station id must be a non-negative integer"):
+        allocate_identifiers({-1: 1.0}, n=3)
+    with pytest.raises(ValueError, match="share must be finite and >= 0"):
+        allocate_identifiers([(1, -0.5)], n=3)

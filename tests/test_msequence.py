@@ -12,8 +12,19 @@ from mchan.msequence import (
     distinct_msequences,
     generate_msequence,
     periodic_autocorrelation,
-    reciprocal_taps,
 )
+
+
+def reciprocal_taps(taps):
+    """Exponents of the reciprocal polynomial x**n * f(1/x) (time-reversed sequence)."""
+    n = taps[0]
+    return tuple(sorted({n - e for e in (*taps, 0)} - {0}, reverse=True))
+
+
+def window_value(seq, j):
+    """Reference: the cyclic n-bit window ending at j, oldest bit most significant."""
+    bits = [int(seq.bits[(j - seq.n + 1 + i) % seq.period]) for i in range(seq.n)]
+    return int("".join(map(str, bits)), 2)
 
 
 def register_walk(n, taps):
@@ -122,7 +133,7 @@ def test_window_value_matches_vectorised_form():
     for n in (2, 6, 11):
         seq = generate_msequence(n)
         vals = seq.window_values()
-        assert vals.tolist() == [seq.window_value(j) for j in range(seq.period)]
+        assert vals.tolist() == [window_value(seq, j) for j in range(seq.period)]
 
 
 def test_reciprocal_taps():
