@@ -3,9 +3,13 @@
 ICPE depends on (g, B_s) only through the energy SINR h = g * sqrt(B_s/2),
 so every search here reduces to one dimension: build the h-window induced
 by the axis ranges, minimise (or maximise) over h with a log-spaced grid
-(one vectorised SER call per m) followed by a superlinear refinement
-(Brent's minimiser inside, a regula falsi root at a constraint edge),
-then map the optimiser back to a concrete (g, B_s) pair.  A direct
+followed by a superlinear refinement (Brent's minimiser inside, a regula
+falsi root at a constraint edge), then map the optimiser back to a
+concrete (g, B_s) pair.  Each scan grid is built in one place, and one
+SER table (``SerModel.ser_table``) gives its C_m for every m: the m's of a
+search, of the grid2d mesh or of a curve family, and both passes of the
+near-infimum band search, share one kernel call on the grid.  Refinement
+probes call the kernel one h at a time.  A direct
 two-dimensional grid search is kept as a cross-check (``method="grid2d"``);
 the two routes must agree.
 
@@ -178,16 +182,22 @@ class ExtremumResult:
 # scalar minimisation (log coordinates, best-seen tracking)
 
 
-def _minimise(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], lo: float, hi: float,
-              points: int, rel_tol: float, seed: float | None = None
+def _log_grid(lo: float, hi: float, points: int) -> list[float]:
+    """The scan grid of [lo, hi]: its log grid, or lo alone for a degenerate window."""
+    return GridRange(lo, hi, points).log_grid() if hi > lo * (1.0 + 1e-15) else [lo]
+
+
+def _minimise(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], grid: list[float],
+              outs: tuple[np.ndarray, ...], rel_tol: float
               ) -> tuple[float, tuple[float, ...], int]:
-    """Log-grid scan plus superlinear refinement of ``f``'s first output.
+    """Superlinear refinement of ``f``'s first output from a scan ``grid``.
 
     ``f`` maps a 1-D array of x to a tuple of arrays: the objective (+inf
     where x is infeasible), the constraint margin, then whatever the
-    caller reports.  The grid, with ``seed`` merged in, is one call.  The
-    refinement calls ``f`` point by point, in log x, on the bracket
-    between the best grid point's neighbours:
+    caller reports.  ``outs`` are ``f``'s outputs on the ascending
+    ``grid``, computed by the caller, so grids of several m or passes can
+    share their kernel work.  The refinement calls ``f`` point by point,
+    in log x, on the bracket between the best grid point's neighbours:
 
     - a neighbour with margin < 0 is replaced by the feasible end of the
       margin's root bracket (:func:`_margin_root`);
@@ -198,15 +208,11 @@ def _minimise(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], lo: float, hi: 
       best point (:func:`_brent`).
 
     Each stops at a bracket of log1p(rel_tol).  Returns ``(x, f's outputs
-    at x, evaluations)`` for the best point seen, so every reported
-    point has margin >= 0 and a boundary optimum at lo/hi or the seed
-    survives.  If no grid point has a finite objective, the grid point
-    with the largest margin is returned.
+    at x, evaluations)`` for the best point seen, grid points included,
+    so every reported point has margin >= 0 and a boundary optimum at a
+    grid end survives.  If no grid point has a finite objective, the grid
+    point with the largest margin is returned.
     """
-    grid = GridRange(lo, hi, points).log_grid() if hi > lo * (1.0 + 1e-15) else [lo]
-    if seed is not None and seed not in grid:
-        bisect.insort(grid, seed)
-    outs = f(np.array(grid))
     evals = len(grid)
     i = int(np.argmin(outs[0]))  # the first of equal minima
     if not math.isfinite(outs[0][i]):
@@ -241,6 +247,13 @@ def _minimise(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], lo: float, hi: 
         if best_t not in (a, b):
             _brent(probe, a, b, best_t, best[0], tol)
     return best_x, best, evals
+
+
+def _scan(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], lo: float, hi: float,
+          points: int, rel_tol: float) -> tuple[float, tuple[float, ...], int]:
+    """:func:`_minimise` from the log grid of [lo, hi], scanned in one call of ``f``."""
+    grid = _log_grid(lo, hi, points)
+    return _minimise(f, grid, f(np.array(grid)), rel_tol)
 
 
 def _margin_root(probe: Callable[[float], tuple[float, ...]], t_in: float, m_in: float,
@@ -363,35 +376,36 @@ def _h_window(spec: ExtremumSpec) -> tuple[float, float]:
             spec.g_range.hi * math.sqrt(spec.b_s_range.hi / 2.0))
 
 
-def _criteria_of_h(m: int, h: np.ndarray, model: SerModel) -> tuple[np.ndarray, np.ndarray]:
-    """C_m and ICPE w (+inf where capacity vanishes) over a 1-D array of h.
-
-    The h-kernel of every scan: one SER call for the whole array.
-    """
-    c = np.array([capacity_bits_per_symbol(m, p) for p in model.ser(m, h).tolist()])
+def _criteria(m: int, h: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C_m and ICPE w (+inf where capacity vanishes) from the SER ``p`` at a 1-D array of h."""
+    c = np.array([capacity_bits_per_symbol(m, x) for x in p.tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(c > 0.0, h * h / c, np.inf)
     return c, w
 
 
-def _evaluate(m: int, model: SerModel, h: np.ndarray, b_s: np.ndarray | float | None = None,
-              maximise: bool = False, c_f_min: float | None = None,
-              w_cap: float | None = None) -> tuple[np.ndarray, ...]:
-    """Objective, constraint margin, C_m and w over an array of h at bases ``b_s``.
+def _feasibility(c: np.ndarray, w: np.ndarray, b_s: np.ndarray | float | None = None,
+                 maximise: bool = False, c_f_min: float | None = None,
+                 w_cap: float | None = None) -> tuple[np.ndarray, ...]:
+    """Objective, constraint margin, C_m and w from C_m and w at bases ``b_s``.
 
     The one feasibility rule of every search: the margin is
     min(c_F - c_f_min, w_cap - w) over the constraints given (+inf with
     none), with c_F = 2 C_m / b_s, and a point is feasible iff its margin
     is >= 0.  The objective (w, or -c_F when maximising) is +inf elsewhere.
     """
-    c, w = _criteria_of_h(m, h, model)
     c_f = None if b_s is None else 2.0 * c / b_s
-    margin = np.full(h.shape, np.inf)
+    margin = np.full(c.shape, np.inf)
     if c_f_min is not None:
         margin = c_f - c_f_min
     if w_cap is not None:
         margin = np.minimum(margin, w_cap - w)
     return np.where(margin >= 0.0, -c_f if maximise else w, np.inf), margin, c, w
+
+
+def _evaluate(m: int, model: SerModel, h: np.ndarray, *args) -> tuple[np.ndarray, ...]:
+    """:func:`_feasibility` (given ``args``) at a 1-D array of h, from one SER call."""
+    return _feasibility(*_criteria(m, h, model.ser(m, h)), *args)
 
 
 def _map_back(spec: ExtremumSpec, h: float, prefer_min_base: bool) -> tuple[float, float]:
@@ -460,27 +474,36 @@ def _solve_reduced(spec: ExtremumSpec) -> ExtremumResult:
     model = spec.ser_model
     maximise = spec.objective == "max_icse"
     h_lo, h_hi = _h_window(spec)
-    points = max(spec.g_range.points, spec.b_s_range.points)
+    grid = _log_grid(h_lo, h_hi, max(spec.g_range.points, spec.b_s_range.points))
+    h_grid = np.array(grid)
     per_m: list[ExtremumResult] = []
     near_misses: list[dict] = []
     total_evals = 0
 
-    for m in spec.m_values:
-        w_cap, h_seed, band_note = spec.w_cap, None, ""
+    for m, p in zip(spec.m_values, model.ser_table(spec.m_values, h_grid)):
+        c, w = _criteria(m, h_grid, p)
+        m_grid, w_cap, band_note = grid, spec.w_cap, ""
         if maximise and spec.icpe_band_eps is not None:
-            # h* lies in the band by construction, so the search is seeded with it.
-            h_seed, (w_inf, *_), evals = _minimise(partial(_evaluate, m, model),
-                                                   h_lo, h_hi, points, spec.tol)
+            # h* lies in the band by construction, so it seeds the band
+            # search, which reuses this pass's grid C_m.
+            h_seed, (w_inf, _, c_seed, _), evals = _minimise(
+                partial(_evaluate, m, model), grid, _feasibility(c, w), spec.tol)
             total_evals += evals
             band_cap = w_inf * (1.0 + spec.icpe_band_eps)
             w_cap = band_cap if w_cap is None else min(w_cap, band_cap)
             band_note = f"near-infimum band: w_inf({m})={w_inf!r}"
+            if h_seed not in grid:
+                j = bisect.bisect(grid, h_seed)
+                m_grid = grid[:j] + [h_seed] + grid[j:]
+                c, w = np.insert(c, j, c_seed), np.insert(w, j, w_inf)
 
         def objective(h: np.ndarray, m: int = m, w_cap: float | None = w_cap):
             return _evaluate(m, model, h, _b_s_compat(spec, h)[0], maximise,
                              spec.c_f_min, w_cap)
 
-        h, out, evals = _minimise(objective, h_lo, h_hi, points, spec.tol, seed=h_seed)
+        outs = _feasibility(c, w, _b_s_compat(spec, np.array(m_grid))[0], maximise,
+                            spec.c_f_min, w_cap)
+        h, out, evals = _minimise(objective, m_grid, outs, spec.tol)
         total_evals += evals
         if not out[1] >= 0.0:
             # The nearest-feasible point of the scan grid, as a certificate.
@@ -520,11 +543,13 @@ def _solve_grid2d(spec: ExtremumSpec) -> ExtremumResult:
     g_grid = [spec.g_fixed] if spec.g_fixed is not None else spec.g_range.log_grid()
     b_grid = [spec.b_s_fixed] if spec.b_s_fixed is not None else spec.b_s_range.log_grid()
     g_mesh, b_mesh = (a.ravel() for a in np.meshgrid(g_grid, b_grid, indexing="ij"))
+    h_mesh = g_mesh * np.sqrt(b_mesh / 2.0)
 
     best = near = None
     evals = 0
-    for m in spec.m_values:
-        outs = at(m, g_mesh, b_mesh)
+    for m, p in zip(spec.m_values, spec.ser_model.ser_table(spec.m_values, h_mesh)):
+        outs = _feasibility(*_criteria(m, h_mesh, p), b_mesh, maximise, spec.c_f_min,
+                            spec.w_cap)
         evals += g_mesh.size
         i = int(np.argmin(outs[0]))  # the first minimum in (g, B_s) scan order
         if best is None or outs[0][i] < best[0][0]:
@@ -532,7 +557,7 @@ def _solve_grid2d(spec: ExtremumSpec) -> ExtremumResult:
         j = int(np.argmax(outs[1]))  # the nearest-feasible point, as a certificate
         if near is None or outs[1][j] > near["margin"]:
             g, b_s = float(g_mesh[j]), float(b_mesh[j])
-            near = _certificate(m, g * math.sqrt(b_s / 2.0), g, b_s,
+            near = _certificate(m, float(h_mesh[j]), g, b_s,
                                 tuple(float(o[j]) for o in outs))
     out, m, g, b_s = best
     if not math.isfinite(out[0]):
@@ -546,11 +571,11 @@ def _solve_grid2d(spec: ExtremumSpec) -> ExtremumResult:
     # The objective depends on h only, so one pass suffices.
     if spec.g_fixed is None:
         r = spec.g_range
-        g, out, n = _minimise(lambda x: at(m, x, b_s), r.lo, r.hi, r.points, spec.tol)
+        g, out, n = _scan(lambda x: at(m, x, b_s), r.lo, r.hi, r.points, spec.tol)
         evals += n
     if spec.b_s_fixed is None:
         r = spec.b_s_range
-        b_s, out, n = _minimise(lambda x: at(m, g, x), r.lo, r.hi, r.points, spec.tol)
+        b_s, out, n = _scan(lambda x: at(m, g, x), r.lo, r.hi, r.points, spec.tol)
         evals += n
     return _result(spec, m, g, b_s, g * math.sqrt(b_s / 2.0), out, spec.w_cap, evals,
                    "direct 2-D search")
@@ -638,8 +663,8 @@ def verify_statement1(
     for b_s in b_s_grid.log_grid():
         s = math.sqrt(b_s / 2.0)
         h_lo, h_hi = g_range.lo * s, g_range.hi * s
-        h, (w_min, *_), _ = _minimise(partial(_evaluate, m, model), h_lo, h_hi,
-                                      g_range.points, tol)
+        h, (w_min, *_), _ = _scan(partial(_evaluate, m, model), h_lo, h_hi,
+                                  g_range.points, tol)
         rows.append(FlatnessRow(b_s=b_s, h_min=h, w_min=w_min,
                                 attained=_attained(h, h_lo, h_hi, tol)))
     w_values = [r.w_min for r in rows]
@@ -707,8 +732,8 @@ def verify_statement3(
         model = ExactCoherentOrthogonal()
     h_lo, h_hi = h_window
     GridRange(h_lo, h_hi)  # refuses an empty or reversed window
-    h_star, (w_inf, *_), _ = _minimise(partial(_evaluate, m, model), h_lo, h_hi,
-                                       _STATEMENT3_POINTS, tol)
+    h_star, (w_inf, *_), _ = _scan(partial(_evaluate, m, model), h_lo, h_hi,
+                                   _STATEMENT3_POINTS, tol)
 
     rows = []
     for g in g_sorted:
@@ -748,23 +773,23 @@ class CurvePoint:
 def sweep_curves(
     m_values: tuple[int, ...] | list[int],
     g_values: tuple[float, ...] | list[float],
-    b_s_grid: GridRange | list[float],
+    b_s_grid: GridRange,
     model: SerModel | None = None,
 ) -> list[CurvePoint]:
     """Criterion families over a base grid, one curve per (m, g) pair.
 
     Points with zero capacity get w = +inf (the power criterion diverges
-    at the uniform-guessing error rate).  Each m is one SER call over
-    every (g, B_s) of its curves.
+    at the uniform-guessing error rate).  One SER table serves every m at
+    every (g, B_s) of the curves.
     """
     if model is None:
         model = ExactCoherentOrthogonal()
-    grid = b_s_grid.log_grid() if isinstance(b_s_grid, GridRange) else [float(b) for b in b_s_grid]
-    g_mesh, b_mesh = (a.ravel() for a in np.meshgrid(g_values, grid, indexing="ij"))
+    g_mesh, b_mesh = (a.ravel() for a in np.meshgrid(g_values, b_s_grid.log_grid(),
+                                                      indexing="ij"))
     h = g_mesh * np.sqrt(b_mesh / 2.0)
     out = []
-    for m in m_values:
-        c, w = _criteria_of_h(m, h, model)
+    for m, p in zip(m_values, model.ser_table(m_values, h)):
+        c, w = _criteria(m, h, p)
         c_f = 2.0 * c / b_mesh
         out += [CurvePoint(m=m, g=g, b_s=b_s, h=hp, c_f=cf, w=wp) for g, b_s, hp, cf, wp
                 in zip(g_mesh.tolist(), b_mesh.tolist(), h.tolist(), c_f.tolist(), w.tolist())]

@@ -5,6 +5,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.stats import norm
 
@@ -139,6 +141,43 @@ def test_array_call_equals_scalar_calls():
             np.testing.assert_allclose(p, scalar, rtol=1e-14, atol=0.0)
     grid = EXACT.ser(4, h.reshape(8, 8))
     assert grid.shape == (8, 8)
+
+
+H_ARRAYS = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 40.0)), min_size=1,
+                    max_size=80).map(np.array)
+M_LISTS = st.lists(st.sampled_from((2, 3, 4, 8, 16, 31, 32, 64)), min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=25)
+@given(ms=M_LISTS, h=H_ARRAYS)
+def test_ser_table_rows_equal_ser_bit_for_bit(ms, h):
+    for model in (EXACT, UnionBound()):
+        table = model.ser_table(ms, h)
+        assert table.shape == (len(ms), h.size)
+        for m, row in zip(ms, table):
+            assert row.tobytes() == model.ser(m, h).tobytes()
+
+
+@settings(deadline=None, max_examples=25)
+@given(m=st.sampled_from((2, 4, 8, 16, 32, 64)), h=H_ARRAYS)
+def test_ser_at_an_h_does_not_depend_on_the_other_h(m, h):
+    # The node sum is one dot product per h, so p depends only on (m, h).
+    p = EXACT.ser(m, h)
+    assert [float(x) for x in p] == [EXACT.ser(m, float(x)) for x in h]
+
+
+@settings(deadline=None, max_examples=25)
+@given(ms=M_LISTS, bad=st.sampled_from((65, 1024, 1, 0, 4.0)), at=st.integers(0, 6))
+def test_ser_table_refuses_a_bad_m_before_computing(ms, bad, at):
+    ms = ms[:at] + [bad] + ms[at:]
+
+    def untouched(x):
+        raise AssertionError("the kernel ran before m was checked")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel, "_q_array", untouched)
+        with pytest.raises(ChannelDomainError):
+            EXACT.ser_table(ms, np.array([0.5, 1.0]))
 
 
 def test_non_finite_rule_raises(monkeypatch):

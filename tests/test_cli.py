@@ -143,6 +143,11 @@ def test_infeasible_search_exits_3_with_certificate(method):
 
 
 def test_optimize_grid2d_output_is_frozen():
+    # On the default log grids h depends only on 3i + 2j (g index i, B_s
+    # index j), so about 20 mesh cells share h* up to rounding, and the
+    # last bit of their SER picks which (g, B_s) wins.  The frozen pair
+    # therefore moves with any last-bit change to p(m, h); h* and w do not
+    # beyond their last digits.
     proc = run_cli("optimize", "--m", "8", "--method", "grid2d")
     assert proc.returncode == 0
     assert proc.stdout == (
@@ -159,11 +164,11 @@ def test_optimize_grid2d_output_is_frozen():
         "# param objective=min-icpe\n"
         "# param seed=0\n"
         "# param tol=1e-06\n"
-        "# result evaluations=4238\n"
+        "# result evaluations=4233\n"
         "# result note=direct 2-D search\n"
         "objective,m,g,b_s,h,value,c_f,w,attained\n"
-        "min_icpe,8,0.46863611737471794,12.451970847350331,1.169337307612061,"
-        "1.4854346175278683,0.14784885710658355,1.4854346175278683,true\n"
+        "min_icpe,8,0.05229435416897158,1000.0,1.1693373076126998,"
+        "1.4854346175278685,0.0018410096585072546,1.4854346175278685,true\n"
     )
 
 

@@ -8,8 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mchan.channel import ExactCoherentOrthogonal, UnionBound, capacity_bits_per_symbol
-from mchan.criteria import icpe_of_esinr
+import mchan.channel as channel
+from mchan.channel import (
+    ChannelPoint,
+    ExactCoherentOrthogonal,
+    UnionBound,
+    capacity_bits_per_symbol,
+)
+from mchan.criteria import UndefinedCriterionError, icpe, icpe_of_esinr, icse
 from mchan.extremum import (
     DEFAULT_M_SET,
     ExtremumSpec,
@@ -176,6 +182,27 @@ def test_search_work_counts(band_scan):
     assert total <= 5000  # 4558; 5576 by golden section
 
 
+def test_one_grid_kernel_call_per_search(monkeypatch):
+    # Every m of a search, and both passes of a band search, share one SER
+    # table on the scan grid; refinement probes are one h each.
+    kernel, grid_calls = channel._orthogonal_ser, []
+
+    def counted(ms, h):
+        if h.size > 1:
+            grid_calls.append(tuple(ms))
+        return kernel(ms, h)
+
+    monkeypatch.setattr(channel, "_orthogonal_ser", counted)
+    assert minimize_icpe(ExtremumSpec()).evaluations == 425
+    assert grid_calls == [DEFAULT_M_SET]
+    grid_calls.clear()
+    maximize_icse(ExtremumSpec(m_fixed=8, icpe_band_eps=1e-3))
+    assert grid_calls == [(8,)]
+    grid_calls.clear()
+    minimize_icpe(ExtremumSpec(g_fixed=1.0, m_set=(4, 16)))
+    assert grid_calls == [(4, 16)]
+
+
 @settings(deadline=None, max_examples=25)
 @given(m=st.sampled_from(DEFAULT_M_SET), k=st.integers(0, 56), maximise=st.booleans(),
        floor=st.floats(0.3, 0.999), cap=st.floats(1.001, 2.0))
@@ -258,13 +285,30 @@ def test_monotonicity_verifier_refuses_an_empty_window(h_window):
 
 
 def test_sweep_curves_consistency():
-    pts = sweep_curves([4], [1.0], [0.5, 2.0, 8.0], model=EXACT)
+    pts = sweep_curves([4], [1.0], GridRange(0.5, 8.0, 3), model=EXACT)
     assert len(pts) == 3
     for pt in pts:
         assert pt.h == pytest.approx(pt.g * math.sqrt(pt.b_s / 2.0), rel=1e-15)
         if math.isfinite(pt.w):
             assert pt.w * pt.c_f == pytest.approx(pt.g * pt.g, rel=1e-12)
             assert pt.w == pytest.approx(icpe_of_esinr(4, pt.h, EXACT), rel=1e-12)
+
+
+@settings(deadline=None, max_examples=25)
+@given(ms=st.lists(st.sampled_from(DEFAULT_M_SET), min_size=1, max_size=3, unique=True),
+       gs=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=2),
+       lo=st.floats(0.1, 5.0), decades=st.floats(0.5, 2.5), points=st.integers(2, 16))
+def test_sweep_curves_equal_point_criteria(ms, gs, lo, decades, points):
+    # A curve point is the point query at its (m, g, B_s), bit for bit.
+    for pt in sweep_curves(ms, gs, GridRange(lo, lo * 10.0 ** decades, points), EXACT):
+        point = ChannelPoint(pt.m, pt.g, pt.b_s)
+        assert pt.h == point.h
+        assert pt.c_f == icse(point, EXACT)
+        if math.isfinite(pt.w):
+            assert pt.w == icpe(point, EXACT)
+        else:
+            with pytest.raises(UndefinedCriterionError):
+                icpe(point, EXACT)
 
 
 def test_grid_range_validation_and_grid():
