@@ -31,7 +31,10 @@ only on (m, h), never on which other m or h share the call.  Against an
 independent high-precision quadrature the relative error is below 1e-14
 for m <= 64 and h <= 9.5, and against Q(h) for m = 2 below 1e-12 up to
 h = 37, where Q(h) nears the smallest double.  Larger ensembles are
-refused: at m = 256 the same rule is off by 2e-11.
+refused: at m = 256 the same rule is off by 2e-11.  For the extremum
+searches the same call can also integrate, on the same nodes,
+dp/dh = -sqrt(2) (m-1) Integral phi(u) phi(u + h*sqrt(2)) Phi(u + h*sqrt(2))**(m-2) du,
+within 1e-12 relative for m <= 33 and 2e-12 at m = 64.
 """
 
 from __future__ import annotations
@@ -125,6 +128,10 @@ class SerModel:
     def ser(self, m: int, h: float | np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 
+    def _ser_slope(self, m: int, h: float) -> tuple[float, float]:
+        """(p, dp/dh) at one h, unchecked: a search's grid call has checked its window."""
+        raise NotImplementedError
+
     def ser_table(self, ms: Sequence[int], h: np.ndarray) -> np.ndarray:
         """p for every m of ``ms`` (rows) at every h of a 1-D array (columns).
 
@@ -165,11 +172,14 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes and weights of the SER rule on [-_RULE_HALF_WIDTH, _RULE_HALF_WIDTH].
 
     Newton's method on the Legendre recurrence from Tricomi's initial
     roots; the weights carry the window scale and phi's 1/sqrt(2 pi).
+    The third array weighs dp/dh: with u = node - h/sqrt(2),
+    phi(u) phi(u + h*sqrt(2)) = exp(-node**2) exp(-h**2/2) / (2 pi), so
+    it adds exp(-node**2), the other 1/sqrt(2 pi) and dp/dh's -sqrt(2).
     Built on first use, so importing the package stays cheap.
     """
     n = _RULE_NODES
@@ -184,10 +194,10 @@ def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     nodes = _RULE_HALF_WIDTH * np.concatenate((-x, x[::-1]))
     weights = (_RULE_HALF_WIDTH * _INV_SQRT_2PI) * np.concatenate((w, w[::-1]))
-    return nodes, weights
+    return nodes, weights, (-_SQRT2 * _INV_SQRT_2PI) * weights * np.exp(-nodes * nodes)
 
 
-def _orthogonal_ser(ms: Sequence[int], h: np.ndarray) -> np.ndarray:
+def _orthogonal_ser(ms: Sequence[int], h: np.ndarray, slope: bool = False):
     """The SER for each m of ``ms`` (rows) at each h of a 1-D array (columns).
 
     Q(u + h*sqrt(2)), its log1p(-Q) and the Gaussian weight depend on h
@@ -198,13 +208,15 @@ def _orthogonal_ser(ms: Sequence[int], h: np.ndarray) -> np.ndarray:
     differently from a many-row one), so p depends only on (m, h).  p is
     capped at (m-1)/m, its exact value at h = 0.  ``ms`` are integers >= 2
     and ``h`` is checked; an m above the rule's validated range is refused
-    before anything is computed.
+    before anything is computed.  With ``slope`` the result is the pair
+    (p, dp/dh), each with that shape, and p is unchanged.
     """
     if max(ms, default=2) > _RULE_MAX_M:
         raise ChannelDomainError(f"the exact SER rule is validated for m <= {_RULE_MAX_M}, "
                                  f"got m={max(ms)}; use the union bound for larger ensembles")
-    nodes, weights = _gauss_legendre_rule()
+    nodes, weights, slope_weights = _gauss_legendre_rule()
     p = np.empty((len(ms), h.size))
+    p_h = np.empty_like(p) if slope else None
     for start in range(0, h.size, _RULE_BLOCK):
         stop = start + _RULE_BLOCK
         hb = h[start:stop]
@@ -219,9 +231,12 @@ def _orthogonal_ser(ms: Sequence[int], h: np.ndarray) -> np.ndarray:
             p_max = (m - 1) / m
             p[row, start:stop] = np.where(
                 at_zero, p_max, np.minimum(np.vecdot(gauss * miss, weights), p_max))
+            if slope:  # Phi**(m-2) * exp(-shift**2) on the slope weights
+                p_h[row, start:stop] = (m - 1) * np.vecdot(
+                    np.exp((m - 2) * log_cdf - shift * shift), slope_weights)
     if not np.isfinite(p).all():
         raise QuadratureError(f"the SER rule gave a non-finite value at m in {ms}, h={h!r}")
-    return p
+    return (p, p_h) if slope else p
 
 
 @dataclass(frozen=True)
@@ -245,6 +260,10 @@ class ExactCoherentOrthogonal(SerModel):
             _check_m(m)
         return _orthogonal_ser(ms, _check_h(h))
 
+    def _ser_slope(self, m: int, h: float) -> tuple[float, float]:
+        p, p_h = _orthogonal_ser((m,), np.array([h]), slope=True)
+        return p.item(), p_h.item()
+
 
 @dataclass(frozen=True)
 class UnionBound(SerModel):
@@ -255,6 +274,13 @@ class UnionBound(SerModel):
         hs = _check_h(h)
         k = m - 1
         return _same_kind(h, np.minimum(k * _q_array(hs), k / m))
+
+    def _ser_slope(self, m: int, h: float) -> tuple[float, float]:
+        k = m - 1
+        p = k * q_function(h)
+        if p < k / m:
+            return p, -k * _INV_SQRT_2PI * math.exp(-0.5 * h * h)
+        return k / m, 0.0  # the cap
 
 
 def capacity_bits_per_symbol(m: int, p: float) -> float:

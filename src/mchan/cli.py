@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--w-cap", type=float, default=None, help="ICPE ceiling constraint")
     po.add_argument("--band-eps", type=float, default=None,
                     help="restrict max-icse to w <= w_inf*(1+eps)")
-    po.add_argument("--tol", type=float, default=1e-6, help="relative refinement tolerance")
     po.add_argument("--method", choices=("reduced", "grid2d"), default="reduced")
     po.add_argument("--verify", choices=("statement1", "statement3"), default=None)
     po.add_argument("--g-list", type=_floats_csv, default=(0.5, 1.0, 2.0),
@@ -348,17 +347,13 @@ def _cmd_criteria(args):
 
 
 def _cmd_optimize(args):
-    from mchan.channel import ExactCoherentOrthogonal
     from mchan.extremum import (ExtremumSpec, maximize_icse, minimize_icpe, verify_statement1,
                                 verify_statement3)
-
-    model = ExactCoherentOrthogonal()
 
     if args.verify == "statement1":
         if args.m is None:
             raise UsageError("--verify statement1 needs --m")
-        report = verify_statement1(args.m, g_range=args.g_range, b_s_grid=args.bs_range,
-                                   model=model, tol=args.tol)
+        report = verify_statement1(args.m, g_range=args.g_range, b_s_grid=args.bs_range)
         results = {"m": report.m, "w_low": _fmt(report.w_low), "w_high": _fmt(report.w_high),
                    "spread_rel": _fmt(report.spread_rel), "threshold": _fmt(report.threshold),
                    "passed": _fmt(report.passed)}
@@ -368,8 +363,7 @@ def _cmd_optimize(args):
     if args.verify == "statement3":
         if args.m is None:
             raise UsageError("--verify statement3 needs --m")
-        report = verify_statement3(args.m, args.g_list, model=model,
-                                   h_window=args.h_window, tol=args.tol)
+        report = verify_statement3(args.m, args.g_list, h_window=args.h_window)
         results = {"m": report.m, "h_star": _fmt(report.h_star), "w_inf": _fmt(report.w_inf),
                    "attained": _fmt(report.attained),
                    "strictly_decreasing": _fmt(report.strictly_decreasing),
@@ -378,10 +372,7 @@ def _cmd_optimize(args):
         rows = [(r.g, r.b_s_star, r.invariant_product) for r in report.rows]
         return results, ("g", "b_s_star", "invariant_product"), rows
 
-    objective = args.objective.replace("-", "_")
     spec = ExtremumSpec(
-        objective=objective,
-        ser_model=model,
         m_fixed=args.m,
         g_fixed=args.g,
         b_s_fixed=args.b_s,
@@ -391,9 +382,8 @@ def _cmd_optimize(args):
         c_f_min=args.cf_min,
         w_cap=args.w_cap,
         icpe_band_eps=args.band_eps,
-        tol=args.tol,
     )
-    solver = minimize_icpe if objective == "min_icpe" else maximize_icse
+    solver = minimize_icpe if args.objective == "min-icpe" else maximize_icse
     result = solver(spec, method=args.method)
     results = {"evaluations": result.evaluations}
     if result.note:

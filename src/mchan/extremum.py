@@ -2,28 +2,33 @@
 
 ICPE depends on (g, B_s) only through the energy SINR h = g * sqrt(B_s/2),
 so every search here reduces to one dimension: build the h-window induced
-by the axis ranges, minimise (or maximise) over h with a log-spaced grid
-followed by a superlinear refinement (Brent's minimiser inside, a regula
-falsi root at a constraint edge), then map the optimiser back to a
-concrete (g, B_s) pair.  Each scan grid is built in one place, and one
-SER table (``SerModel.ser_table``) gives its C_m for every m: the m's of a
-search, of the grid2d mesh or of a curve family, and both passes of the
-near-infimum band search, share one kernel call on the grid.  Refinement
-probes call the kernel one h at a time.  A direct
-two-dimensional grid search is kept as a cross-check (``method="grid2d"``);
-the two routes must agree.
+by the axis ranges, scan it on a log-spaced grid, refine from the best
+grid point, then map the optimiser back to a concrete (g, B_s) pair.
+Each scan grid is built in one place, and one SER table
+(``SerModel.ser_table``) gives its C_m for every m: the m's of a search,
+of the grid2d mesh or of a curve family, and both passes of the
+near-infimum band search, share one kernel call on the grid.
 
-Boundary extremums are reported with ``attained=False``: for m = 2 the
-power criterion has no interior minimum and its infimum pi * ln 2 is only
-approached as h -> 0.
+Every refinement ends on one rule: a sign change of the objective's slope
+(an interior optimum) or of the constraint margin (a constraint edge),
+closed by one Illinois regula falsi to a bracket of a few ulps; or at a
+grid point where no direction descends, which is a window end or a kink
+of c_F.  The slope comes from dp/dh, which the SER kernel integrates on
+its own nodes (one kernel call per probe).  The flags are that rule's
+outcome, not tolerances: ``attained`` is false only at a window end whose
+slope points out of the window (for m = 2 the power criterion has no
+interior minimum and its infimum pi * ln 2 is only approached as h -> 0),
+and a constraint is active only on its own margin root.  A direct
+two-dimensional grid search is kept as a cross-check
+(``method="grid2d"``); the two routes must agree.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -50,14 +55,13 @@ __all__ = [
 
 DEFAULT_M_SET: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
 
-# Brent's fallback step: this fraction of the bracket's larger side.
-_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # 0.381...
-# tol may be as small as 1e-300, far below the spacing of floats near
-# log h, so without this cap a refinement loop would never end.
+# A refinement stops on a bracket this wide in log x (a few ulps of x).
+_BRACKET = 4.0 * sys.float_info.epsilon
+# The loop guard of a refinement; Illinois closes a grid interval in ~10 probes.
 _MAX_REFINE_ITER = 200
-# A point within this many refinement tolerances of a window edge is
-# reported as a boundary (attained=False).
-_EDGE_FACTOR = 5.0
+_LOG2 = math.log(2.0)
+# verify_statement1's bound on the spread of the per-base minima.
+_STATEMENT1_THRESHOLD = 1e-6
 # verify_statement3's grid points on the h window and its bound on the spread.
 _STATEMENT3_POINTS = 96
 _STATEMENT3_THRESHOLD = 1e-3
@@ -109,11 +113,9 @@ class ExtremumSpec:
     ``icpe_band_eps`` restricts an ICSE maximisation to the near-infimum
     power band w <= w_inf(m) * (1 + eps).  Constraints are met exactly: a
     reported point has c_F >= c_f_min and w <= w_cap with no tolerance.
-    ``tol`` is the relative tolerance on h: each refinement stops at a
-    bracket of log1p(tol) in log h.
+    The objective is named by the search function that takes the spec.
     """
 
-    objective: str = "min_icpe"
     ser_model: SerModel = field(default_factory=ExactCoherentOrthogonal)
     m_fixed: int | None = None
     g_fixed: float | None = None
@@ -124,11 +126,8 @@ class ExtremumSpec:
     c_f_min: float | None = None
     w_cap: float | None = None
     icpe_band_eps: float | None = None
-    tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.objective not in ("min_icpe", "max_icse"):
-            raise ValueError(f"unknown objective {self.objective!r}")
         if self.m_fixed is not None and (not isinstance(self.m_fixed, int) or self.m_fixed < 2):
             raise ValueError(f"m_fixed must be an integer >= 2, got {self.m_fixed!r}")
         if not self.m_set or any((not isinstance(m, int)) or m < 2 for m in self.m_set):
@@ -143,8 +142,6 @@ class ExtremumSpec:
             v = getattr(self, name)
             if v is not None and not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be finite and > 0 when given, got {v!r}")
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
 
     @property
     def m_values(self) -> tuple[int, ...]:
@@ -157,10 +154,13 @@ class ExtremumSpec:
 class ExtremumResult:
     """Outcome of a search: the optimiser, its criteria, and bookkeeping.
 
-    ``attained=False`` flags a boundary extremum, i.e. an infimum or
-    supremum approached at a window edge rather than an interior
-    stationary point.  ``constraint_slack`` maps constraint names to
-    signed margins (positive = satisfied with room).
+    ``attained=False`` flags a boundary extremum: the search ended on a
+    window end where the objective's slope points out of the window, so
+    the infimum or supremum is only approached there.
+    ``constraint_slack`` maps constraint names to signed margins (positive
+    = satisfied with room); ``constraint_active`` is true for a constraint
+    whose margin root the search ended on (or whose margin is exactly 0
+    at the reported point).
     """
 
     objective: str
@@ -179,7 +179,7 @@ class ExtremumResult:
 
 
 # ---------------------------------------------------------------------------
-# scalar minimisation (log coordinates, best-seen tracking)
+# scalar minimisation (log coordinates, a sign change of slope or margin)
 
 
 def _log_grid(lo: float, hi: float, points: int) -> list[float]:
@@ -187,178 +187,145 @@ def _log_grid(lo: float, hi: float, points: int) -> list[float]:
     return GridRange(lo, hi, points).log_grid() if hi > lo * (1.0 + 1e-15) else [lo]
 
 
-def _minimise(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], grid: list[float],
-              outs: tuple[np.ndarray, ...], rel_tol: float
-              ) -> tuple[float, tuple[float, ...], int]:
-    """Superlinear refinement of ``f``'s first output from a scan ``grid``.
+Outputs = tuple[float, float, float, float]  # objective, margin, C_m, w: see _feasibility
+Probe = Callable[[float], tuple[Outputs, float, float]]
+# (maximise, c_f_min, w_cap): which objective and constraints _feasibility applies.
+Constraints = tuple[bool, float | None, float | None]
+_UNCONSTRAINED: Constraints = (False, None, None)
 
-    ``f`` maps a 1-D array of x to a tuple of arrays: the objective (+inf
-    where x is infeasible), the constraint margin, then whatever the
-    caller reports.  ``outs`` are ``f``'s outputs on the ascending
-    ``grid``, computed by the caller, so grids of several m or passes can
-    share their kernel work.  The refinement calls ``f`` point by point,
-    in log x, on the bracket between the best grid point's neighbours:
 
-    - a neighbour with margin < 0 is replaced by the feasible end of the
-      margin's root bracket (:func:`_margin_root`);
-    - if the best point is then an end of the bracket (a window edge or
-      a constraint edge), one probe ``rel_tol`` inside it decides: when
-      the probe is not better, that end is the optimum;
-    - otherwise Brent's parabolic-plus-golden minimiser runs from the
-      best point (:func:`_brent`).
+def _minimise(probe: Probe, grid: list[float], outs: list[Outputs]
+              ) -> tuple[float, Outputs, int, str]:
+    """Refine the objective on an ascending scan ``grid`` to its minimum.
 
-    Each stops at a bracket of log1p(rel_tol).  Returns ``(x, f's outputs
-    at x, evaluations)`` for the best point seen, grid points included,
-    so every reported point has margin >= 0 and a boundary optimum at a
-    grid end survives.  If no grid point has a finite objective, the grid
-    point with the largest margin is returned.
+    ``outs`` are :func:`_feasibility`'s outputs at each grid point: the
+    objective (+inf where x is infeasible), the constraint margin
+    (feasible iff >= 0), C_m and w.  The caller computes them, so grids of
+    several m or passes can share their kernel work.  ``probe(x)``
+    returns those outputs at one x with the objective's slope in log x
+    from the left and from the right of x (they differ only at a kink,
+    which the caller puts on the grid, so each grid interval is smooth).
+
+    From the best grid point the search follows the slope's descent to the
+    next grid point.  If the descent or the margin changes sign there, an
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) closes the
+    first sign change of min(descent, margin) to a bracket of _BRACKET in
+    log x, or an exact zero, and its feasible end is the optimum: a slope
+    root or a constraint edge ("margin").  If neither changes sign, the
+    walk goes on to that grid point (a tie of rounding).  It ends without
+    a root at a grid point where no direction descends: a window end whose
+    slope points out of the window ("end") or a kink.  Returns
+    ``(x, outputs at x, evaluations, how it ended)``, where every ending
+    but "end" and "margin" is "optimum"; every reported point has
+    margin >= 0.  If no grid point is feasible the grid point with the
+    largest margin is returned ("infeasible").
     """
-    evals = len(grid)
-    i = int(np.argmin(outs[0]))  # the first of equal minima
-    if not math.isfinite(outs[0][i]):
-        i = int(np.argmax(outs[1]))
-        return grid[i], tuple(float(o[i]) for o in outs), evals
-    best_t, best_x, best = math.log(grid[i]), grid[i], tuple(float(o[i]) for o in outs)
-
-    def probe(t: float) -> tuple[float, ...]:
-        nonlocal evals, best_t, best_x, best
-        x = math.exp(t)
-        out = tuple(float(o[0]) for o in f(np.array([x])))
-        evals += 1
-        if out[0] < best[0]:
-            best_t, best_x, best = t, x, out
-        return out
-
-    tol = math.log1p(rel_tol)
-    t_i, margin_i = best_t, best[1]
-    ends = []
-    for j in (i - 1, i + 1):
-        if not 0 <= j < len(grid):
-            ends.append(t_i)
-        elif outs[1][j] < 0.0:
-            ends.append(_margin_root(probe, t_i, margin_i, math.log(grid[j]),
-                                     float(outs[1][j]), tol))
+    n, evals = len(grid), len(grid)
+    i = min(range(n), key=lambda j: outs[j][0])  # the first of equal minima
+    if not math.isfinite(outs[i][0]):
+        i = max(range(n), key=lambda j: outs[j][1])
+        return grid[i], outs[i], evals, "infeasible"
+    if n == 1:
+        return grid[0], outs[0], evals, "optimum"
+    out, left, right = probe(grid[i])
+    evals += 1
+    while True:
+        if right < 0.0 and i + 1 < n:
+            step, descent = 1, -right
+        elif left > 0.0 and i > 0:
+            step, descent = -1, left
+        elif i in (0, n - 1) and (right if i == 0 else -left) > 0.0:
+            return grid[i], out, evals, "end"
         else:
-            ends.append(math.log(grid[j]))
-    a, b = ends
-    if b - a > tol:
-        if best_t in (a, b):  # an optimum on an edge unless this probe is better
-            probe(best_t + tol if best_t == a else best_t - tol)
-        if best_t not in (a, b):
-            _brent(probe, a, b, best_t, best[0], tol)
-    return best_x, best, evals
-
-
-def _scan(f: Callable[[np.ndarray], tuple[np.ndarray, ...]], lo: float, hi: float,
-          points: int, rel_tol: float) -> tuple[float, tuple[float, ...], int]:
-    """:func:`_minimise` from the log grid of [lo, hi], scanned in one call of ``f``."""
-    grid = _log_grid(lo, hi, points)
-    return _minimise(f, grid, f(np.array(grid)), rel_tol)
-
-
-def _margin_root(probe: Callable[[float], tuple[float, ...]], t_in: float, m_in: float,
-                 t_out: float, m_out: float, tol: float) -> float:
-    """Feasible end of the constraint margin's root bracket, once it is <= tol wide.
-
-    ``t_in`` has margin ``m_in`` >= 0 and ``t_out`` margin ``m_out`` < 0.
-    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): when the same
-    end is kept twice in a row, its margin is halved.  Bisection
-    stands in wherever a margin is not finite (w = inf where C rounds
-    to 0).
-    """
-    kept = 0  # +1: the feasible end was kept last, -1: the infeasible one
-    for _ in range(_MAX_REFINE_ITER):
-        if m_in == 0.0 or abs(t_out - t_in) <= tol:
+            return grid[i], out, evals, "optimum"
+        j = i + step
+        out_j, left_j, right_j = probe(grid[j])
+        evals += 1
+        value_j = min(-step * (left_j if step > 0 else right_j), out_j[1])
+        if value_j < 0.0:
             break
+        i, out, left, right = j, out_j, left_j, right_j
+
+    # Illinois on min(descent, margin) in log x: (t_in, f_in) >= 0 > (t_out, f_out).
+    t_in, x_in, f_in, out_in = math.log(grid[i]), grid[i], min(descent, out[1]), out
+    t_out, f_out, out_out = math.log(grid[j]), value_j, out_j
+    zero = f_in == 0.0
+    kept = 0  # +1: the in-end was kept last, -1: the out-end
+    for _ in range(_MAX_REFINE_ITER):
         t = 0.5 * (t_in + t_out)
-        if math.isfinite(m_in) and math.isfinite(m_out):
-            t_rf = t_in + (t_out - t_in) * m_in / (m_in - m_out)
+        if zero or abs(t_out - t_in) <= _BRACKET or t in (t_in, t_out):
+            break
+        if math.isfinite(f_in) and math.isfinite(f_out):
+            t_rf = t_in + (t_out - t_in) * f_in / (f_in - f_out)
             if min(t_in, t_out) < t_rf < max(t_in, t_out):
                 t = t_rf
-        m = probe(t)[1]
-        if m >= 0.0:
-            t_in, m_in = t, m
+        x = math.exp(t)
+        o, s, _ = probe(x)  # inside a grid interval both slopes agree
+        evals += 1
+        f = min(-step * s, o[1])
+        if f >= 0.0:
+            t_in, x_in, f_in, out_in, zero = t, x, f, o, f == 0.0
             if kept < 0:
-                m_out *= 0.5
+                f_out *= 0.5
             kept = -1
         else:
-            t_out, m_out = t, m
+            t_out, f_out, out_out = t, f, o
             if kept > 0:
-                m_in *= 0.5
+                f_in *= 0.5
             kept = 1
-    return t_in
+    on_margin = out_in[1] == 0.0 if zero else out_out[1] < 0.0
+    return x_in, out_in, evals, "margin" if on_margin else "optimum"
 
 
-def _brent(probe: Callable[[float], tuple[float, ...]], a: float, b: float, x: float,
-           fx: float, tol: float) -> None:
-    """Brent's localmin on [a, b] from the best known point (x, fx), to a bracket <= tol.
+def _scan(m: int, model: SerModel, to_point: Callable[[float], tuple[float, float | None]],
+          lo: float, hi: float, points: int, dlogh: float, db: float,
+          constraints: Constraints) -> tuple[float, Outputs, int, str]:
+    """:func:`_minimise` in x over the log grid of [lo, hi], with one SER call on the grid.
 
-    R. P. Brent, *Algorithms for Minimization without Derivatives*
-    (1973), ch. 5: a parabola through the three best points when it
-    steps inside the bracket and less than half the step before last,
-    else a golden step into the larger side.  A parabola is only fitted
-    through finite values, so w = inf where C rounds to 0 stays safe.
-    ``probe`` records the best point; nothing is returned.
+    ``to_point(x)`` is the (h, b_s) that x stands for, with
+    d log h / d log x = ``dlogh`` and d log b_s / d log x = ``db``.
     """
-    step = 0.25 * tol  # the smallest step, so x - step and x + step fit in tol
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0
-    for _ in range(_MAX_REFINE_ITER):
-        if b - a <= tol:
-            break
-        xm = 0.5 * (a + b)
-        parabolic = False
-        if abs(e) > step and math.isfinite(fw) and math.isfinite(fv):
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                e, d = d, p / q
-                if x + d - a < 2.0 * step or b - (x + d) < 2.0 * step:
-                    d = math.copysign(step, xm - x)
-        if not parabolic:
-            e = (a - x) if x >= xm else (b - x)
-            d = _GOLDEN_STEP * e
-        u = x + (d if abs(d) >= step else math.copysign(step, d))
-        fu = probe(u)[0]
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+    grid = _log_grid(lo, hi, points)
+    points_hb = [to_point(x) for x in grid]
+    p = model.ser(m, np.array([h for h, _ in points_hb])).tolist()
+    outs = [_feasibility(*_criteria(m, h, q), b_s, constraints)
+            for (h, b_s), q in zip(points_hb, p)]
+    return _minimise(lambda x: _probe(m, model, *to_point(x), dlogh, (db, db), constraints),
+                     grid, outs)
 
 
 # ---------------------------------------------------------------------------
 # the h-reduction of a search region
 
 
-def _b_s_compat(spec: ExtremumSpec, h):
-    """Interval of bases compatible with h (a float or an ndarray) under the axis ranges."""
+def _kink(spec: ExtremumSpec) -> float:
+    """h where the smallest compatible base switches from b_s_lo to 2 (h/g_hi)**2."""
+    return spec.g_range.hi * math.sqrt(spec.b_s_range.lo / 2.0)
+
+
+def _b_s_compat(spec: ExtremumSpec, h: float) -> tuple[float, float]:
+    """Interval of bases compatible with h under the axis ranges."""
     if spec.b_s_fixed is not None:
         return spec.b_s_fixed, spec.b_s_fixed
     if spec.g_fixed is not None:
         b = 2.0 * (h / spec.g_fixed) ** 2
         return b, b
-    lo = np.maximum(spec.b_s_range.lo, 2.0 * (h / spec.g_range.hi) ** 2)
-    hi = np.minimum(spec.b_s_range.hi, 2.0 * (h / spec.g_range.lo) ** 2)
-    # np.maximum also absorbs float fuzz at the window corners (hi < lo).
-    return lo, np.maximum(hi, lo)
+    b_lo, b_hi = spec.b_s_range.lo, spec.b_s_range.hi
+    # The lower bound is b_s_lo itself up to and at the kink.
+    lo = max(b_lo, 2.0 * (h / spec.g_range.hi) ** 2) if h > _kink(spec) else b_lo
+    hi = min(b_hi, 2.0 * (h / spec.g_range.lo) ** 2)
+    # max also absorbs float fuzz at the window corners (hi < lo).
+    return lo, max(hi, lo)
+
+
+def _base_slope(spec: ExtremumSpec, h: float) -> tuple[float, float]:
+    """d log b_s / d log h of ``_b_s_compat``'s lower bound, left and right of h."""
+    if spec.b_s_fixed is not None:
+        return 0.0, 0.0
+    if spec.g_fixed is not None:
+        return 2.0, 2.0
+    h_k = _kink(spec)
+    return (2.0 if h > h_k else 0.0), (2.0 if h >= h_k else 0.0)
 
 
 def _h_window(spec: ExtremumSpec) -> tuple[float, float]:
@@ -376,36 +343,56 @@ def _h_window(spec: ExtremumSpec) -> tuple[float, float]:
             spec.g_range.hi * math.sqrt(spec.b_s_range.hi / 2.0))
 
 
-def _criteria(m: int, h: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C_m and ICPE w (+inf where capacity vanishes) from the SER ``p`` at a 1-D array of h."""
-    c = np.array([capacity_bits_per_symbol(m, x) for x in p.tolist()])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(c > 0.0, h * h / c, np.inf)
-    return c, w
+def _criteria(m: int, h: float, p: float) -> tuple[float, float]:
+    """C_m and ICPE w = h**2 / C_m (+inf where capacity vanishes) from the SER ``p`` at h."""
+    c = capacity_bits_per_symbol(m, p)
+    return c, (h * h / c if c > 0.0 else math.inf)
 
 
-def _feasibility(c: np.ndarray, w: np.ndarray, b_s: np.ndarray | float | None = None,
-                 maximise: bool = False, c_f_min: float | None = None,
-                 w_cap: float | None = None) -> tuple[np.ndarray, ...]:
-    """Objective, constraint margin, C_m and w from C_m and w at bases ``b_s``.
+def _feasibility(c: float, w: float, b_s: float | None, constraints: Constraints) -> Outputs:
+    """Objective, constraint margin, C_m and w from C_m and w at base ``b_s``.
 
     The one feasibility rule of every search: the margin is
     min(c_F - c_f_min, w_cap - w) over the constraints given (+inf with
     none), with c_F = 2 C_m / b_s, and a point is feasible iff its margin
     is >= 0.  The objective (w, or -c_F when maximising) is +inf elsewhere.
     """
-    c_f = None if b_s is None else 2.0 * c / b_s
-    margin = np.full(c.shape, np.inf)
+    maximise, c_f_min, w_cap = constraints
+    margin = math.inf
     if c_f_min is not None:
-        margin = c_f - c_f_min
+        margin = 2.0 * c / b_s - c_f_min
     if w_cap is not None:
-        margin = np.minimum(margin, w_cap - w)
-    return np.where(margin >= 0.0, -c_f if maximise else w, np.inf), margin, c, w
+        margin = min(w_cap - w, margin)  # in this order a NaN (inf - inf) is kept
+    if not margin >= 0.0:
+        return math.inf, margin, c, w
+    return (-(2.0 * c / b_s) if maximise else w), margin, c, w
 
 
-def _evaluate(m: int, model: SerModel, h: np.ndarray, *args) -> tuple[np.ndarray, ...]:
-    """:func:`_feasibility` (given ``args``) at a 1-D array of h, from one SER call."""
-    return _feasibility(*_criteria(m, h, model.ser(m, h)), *args)
+def _probe(m: int, model: SerModel, h: float, b_s: float | None, dlogh: float,
+           db: tuple[float, float], constraints: Constraints) -> tuple[Outputs, float, float]:
+    """:func:`_feasibility`'s outputs at one h, and the objective's slopes, from one kernel call.
+
+    The slope is d log|objective| / d log x, which has the sign of
+    d objective / d log x, for the scan coordinate x with
+    d log h / d log x = ``dlogh`` and d log b_s / d log x = ``db`` (left
+    and right of x).  With e = h C_p p_h / C, the elasticity of C_m in h
+    (C_p = dC/dp, p_h = dp/dh), it is (2 - e) dlogh for w = h**2 / C, and
+    db - e dlogh for -c_F = -2 C / b_s.  h lies in a window whose grid the
+    kernel has checked.
+    """
+    p, p_h = model._ser_slope(m, h)
+    out = _feasibility(*_criteria(m, h, p), b_s, constraints)
+    c = out[2]
+    if c == 0.0:
+        e = math.inf  # w = inf and c_F = 0 here, and both improve as h grows
+    elif p == 0.0:
+        e = 0.0
+    else:  # C_p as capacity_bits_per_symbol writes it, safe for subnormal p
+        c_p = math.log2(p) - math.log2(m - 1) - math.log1p(-p) / _LOG2
+        e = h * c_p * p_h / c
+    if constraints[0]:  # maximising c_F
+        return out, db[0] - e * dlogh, db[1] - e * dlogh
+    return out, (2.0 - e) * dlogh, (2.0 - e) * dlogh
 
 
 def _map_back(spec: ExtremumSpec, h: float, prefer_min_base: bool) -> tuple[float, float]:
@@ -416,7 +403,7 @@ def _map_back(spec: ExtremumSpec, h: float, prefer_min_base: bool) -> tuple[floa
     feasibility); otherwise the decomposition closest to the geometric
     centre of the g-range is reported.
     """
-    b_lo, b_hi = (float(b) for b in _b_s_compat(spec, h))
+    b_lo, b_hi = _b_s_compat(spec, h)
     if prefer_min_base or b_lo == b_hi:
         b_s = b_lo
     else:
@@ -426,93 +413,94 @@ def _map_back(spec: ExtremumSpec, h: float, prefer_min_base: bool) -> tuple[floa
     return g, b_s
 
 
-def _attained(h: float, h_lo: float, h_hi: float, tol: float) -> bool:
-    if h_lo == h_hi:
-        return True
-    edge = 1.0 + _EDGE_FACTOR * tol
-    return h > h_lo * edge and h < h_hi / edge
-
-
-def _result(spec: ExtremumSpec, m: int, g: float, b_s: float, h: float,
-            out: tuple[float, ...], w_cap: float | None, evals: int,
+def _result(spec: ExtremumSpec, maximise: bool, m: int, g: float, b_s: float, h: float,
+            out: Outputs, w_cap: float | None, evals: int, how: str,
             note: str) -> ExtremumResult:
-    """The optimiser (m, g, b_s, h) from ``_evaluate``'s outputs there, under ceiling ``w_cap``."""
-    value, _, c, w = out
+    """The optimiser (m, g, b_s, h) from its outputs ``out`` and how its search ended."""
+    value, margin, c, w = out
     c_f = 2.0 * c / b_s
     slack = {}
     if spec.c_f_min is not None:
         slack["c_f_min"] = c_f - spec.c_f_min
     if w_cap is not None:
         slack["w_cap"] = w_cap - w
-    bound = {"c_f_min": spec.c_f_min, "w_cap": w_cap}
-    h_lo, h_hi = _h_window(spec)
+    on_root = how == "margin" or margin == 0.0
     return ExtremumResult(
-        objective=spec.objective,
+        objective="max_icse" if maximise else "min_icpe",
         m=m,
         g=g,
         b_s=b_s,
         h=h,
-        value=-value if spec.objective == "max_icse" else value,
+        value=-value if maximise else value,
         c_f=c_f,
         w=w,
-        attained=_attained(h, h_lo, h_hi, spec.tol),
+        attained=how != "end",
         constraint_slack=slack,
-        constraint_active={k: v <= max(1e-9, 1e-6 * bound[k]) for k, v in slack.items()},
+        # The constraint whose slack is the margin is the one whose root it is.
+        constraint_active={k: on_root and v == margin for k, v in slack.items()},
         evaluations=evals,
         note=note,
     )
 
 
-def _certificate(m: int, h: float, g: float, b_s: float, out: tuple[float, ...]) -> dict:
-    """A nearest-feasible point (m, h, g, b_s) from ``_evaluate``'s outputs ``out`` there."""
+def _certificate(m: int, h: float, g: float, b_s: float, out: Outputs) -> dict:
+    """A nearest-feasible point (m, h, g, b_s) from its outputs ``out``."""
     _, margin, c, w = out
     return {"m": m, "h": h, "g": g, "b_s": b_s, "c_f": 2.0 * c / b_s, "w": w,
             "margin": margin}
 
 
-def _solve_reduced(spec: ExtremumSpec) -> ExtremumResult:
+def _solve_reduced(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
     model = spec.ser_model
-    maximise = spec.objective == "max_icse"
     h_lo, h_hi = _h_window(spec)
     grid = _log_grid(h_lo, h_hi, max(spec.g_range.points, spec.b_s_range.points))
-    h_grid = np.array(grid)
+    uses_c_f = maximise or spec.c_f_min is not None  # c_F = 2 C / b_s, at the smallest b_s
+
+    def base(h: float) -> float | None:
+        return _b_s_compat(spec, h)[0] if uses_c_f else None
+
+    if (uses_c_f and spec.g_fixed is None and spec.b_s_fixed is None
+            and _kink(spec) not in grid):
+        # c_F has a kink there, so as a grid point it ends two smooth intervals.
+        bisect.insort(grid, _kink(spec))
     per_m: list[ExtremumResult] = []
     near_misses: list[dict] = []
     total_evals = 0
 
-    for m, p in zip(spec.m_values, model.ser_table(spec.m_values, h_grid)):
-        c, w = _criteria(m, h_grid, p)
+    for m, p in zip(spec.m_values, model.ser_table(spec.m_values, np.array(grid))):
+        cw = [_criteria(m, h, q) for h, q in zip(grid, p.tolist())]
         m_grid, w_cap, band_note = grid, spec.w_cap, ""
         if maximise and spec.icpe_band_eps is not None:
             # h* lies in the band by construction, so it seeds the band
             # search, which reuses this pass's grid C_m.
-            h_seed, (w_inf, _, c_seed, _), evals = _minimise(
-                partial(_evaluate, m, model), grid, _feasibility(c, w), spec.tol)
+            h_seed, seed, evals, _ = _minimise(
+                lambda h: _probe(m, model, h, None, 1.0, (0.0, 0.0), _UNCONSTRAINED), grid,
+                [_feasibility(c, w, None, _UNCONSTRAINED) for c, w in cw])
             total_evals += evals
+            w_inf = seed[0]
             band_cap = w_inf * (1.0 + spec.icpe_band_eps)
             w_cap = band_cap if w_cap is None else min(w_cap, band_cap)
             band_note = f"near-infimum band: w_inf({m})={w_inf!r}"
             if h_seed not in grid:
                 j = bisect.bisect(grid, h_seed)
-                m_grid = grid[:j] + [h_seed] + grid[j:]
-                c, w = np.insert(c, j, c_seed), np.insert(w, j, w_inf)
+                m_grid, cw = grid[:j] + [h_seed] + grid[j:], cw[:j] + [seed[2:]] + cw[j:]
 
-        def objective(h: np.ndarray, m: int = m, w_cap: float | None = w_cap):
-            return _evaluate(m, model, h, _b_s_compat(spec, h)[0], maximise,
-                             spec.c_f_min, w_cap)
+        constraints = (maximise, spec.c_f_min, w_cap)
 
-        outs = _feasibility(c, w, _b_s_compat(spec, np.array(m_grid))[0], maximise,
-                            spec.c_f_min, w_cap)
-        h, out, evals = _minimise(objective, m_grid, outs, spec.tol)
+        def probe(h: float, m: int = m, constraints: Constraints = constraints):
+            return _probe(m, model, h, base(h), 1.0, _base_slope(spec, h), constraints)
+
+        outs = [_feasibility(c, w, base(h), constraints) for h, (c, w) in zip(m_grid, cw)]
+        h, out, evals, how = _minimise(probe, m_grid, outs)
         total_evals += evals
-        if not out[1] >= 0.0:
+        if how == "infeasible":
             # The nearest-feasible point of the scan grid, as a certificate.
             g, b_s = _map_back(spec, h, prefer_min_base=True)
             near_misses.append(_certificate(m, h, g, b_s, out))
             continue
 
         g, b_s = _map_back(spec, h, prefer_min_base=spec.c_f_min is not None or maximise)
-        per_m.append(_result(spec, m, g, b_s, h, out, w_cap, evals, band_note))
+        per_m.append(_result(spec, maximise, m, g, b_s, h, out, w_cap, evals, how, band_note))
 
     if not per_m:
         cert = max(near_misses, key=lambda c: c["margin"]) if near_misses else {}
@@ -530,64 +518,73 @@ def _solve_reduced(spec: ExtremumSpec) -> ExtremumResult:
     return replace(chosen, evaluations=total_evals)
 
 
-def _solve_grid2d(spec: ExtremumSpec) -> ExtremumResult:
+def _solve_grid2d(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
     """Direct search on the (g, B_s) grid; cross-check for the reduction."""
     if spec.icpe_band_eps is not None:
         raise ValueError("the near-infimum band (icpe_band_eps) needs method='reduced'")
-    maximise = spec.objective == "max_icse"
-
-    def at(m: int, g, b_s) -> tuple[np.ndarray, ...]:
-        return _evaluate(m, spec.ser_model, g * np.sqrt(b_s / 2.0), b_s, maximise,
-                         spec.c_f_min, spec.w_cap)
-
+    model = spec.ser_model
+    constraints: Constraints = (maximise, spec.c_f_min, spec.w_cap)
     g_grid = [spec.g_fixed] if spec.g_fixed is not None else spec.g_range.log_grid()
     b_grid = [spec.b_s_fixed] if spec.b_s_fixed is not None else spec.b_s_range.log_grid()
-    g_mesh, b_mesh = (a.ravel() for a in np.meshgrid(g_grid, b_grid, indexing="ij"))
-    h_mesh = g_mesh * np.sqrt(b_mesh / 2.0)
+    mesh = [(g, b_s) for g in g_grid for b_s in b_grid]
+    h_mesh = [g * math.sqrt(b_s / 2.0) for g, b_s in mesh]
 
     best = near = None
     evals = 0
-    for m, p in zip(spec.m_values, spec.ser_model.ser_table(spec.m_values, h_mesh)):
-        outs = _feasibility(*_criteria(m, h_mesh, p), b_mesh, maximise, spec.c_f_min,
-                            spec.w_cap)
-        evals += g_mesh.size
-        i = int(np.argmin(outs[0]))  # the first minimum in (g, B_s) scan order
-        if best is None or outs[0][i] < best[0][0]:
-            best = (tuple(float(o[i]) for o in outs), m, float(g_mesh[i]), float(b_mesh[i]))
-        j = int(np.argmax(outs[1]))  # the nearest-feasible point, as a certificate
-        if near is None or outs[1][j] > near["margin"]:
-            g, b_s = float(g_mesh[j]), float(b_mesh[j])
-            near = _certificate(m, float(h_mesh[j]), g, b_s,
-                                tuple(float(o[j]) for o in outs))
-    out, m, g, b_s = best
-    if not math.isfinite(out[0]):
+    for m, p in zip(spec.m_values, model.ser_table(spec.m_values, np.array(h_mesh))):
+        outs = [_feasibility(*_criteria(m, h, q), b_s, constraints)
+                for h, q, (_, b_s) in zip(h_mesh, p.tolist(), mesh)]
+        evals += len(mesh)
+        v = min(o[0] for o in outs)
+        if best is None or v < best[0]:
+            best = (v, m, outs)
+        j = max(range(len(outs)), key=lambda k: outs[k][1])  # nearest-feasible, as a certificate
+        if near is None or outs[j][1] > near["margin"]:
+            near = _certificate(m, h_mesh[j], *mesh[j], outs[j])
+    v, m, outs = best
+    if not math.isfinite(v):
         raise InfeasibleSearchError(
             "no feasible point on the 2-D grid; best margin "
             f"{near['margin']!r} at m={near['m']!r}, h={near['h']!r}",
             certificate=near,
         )
+    # Many cells share the best h up to rounding (on log grids h depends on
+    # 3i + 2j alone), so the last bits of p would pick among them; take the
+    # one whose g is nearest the g-range's geometric centre, as _map_back does.
+    g_mid = math.sqrt(spec.g_range.lo * spec.g_range.hi)
+    k = min((k for k, o in enumerate(outs) if o[0] <= v + 4.0 * math.ulp(v)),
+            key=lambda k: abs(math.log(mesh[k][0] / g_mid)))
+    (g, b_s), out = mesh[k], outs[k]
 
     # Coordinate refinement: in g at fixed B_s, then in B_s at fixed g.
     # The objective depends on h only, so one pass suffices.
+    hows = []
     if spec.g_fixed is None:
         r = spec.g_range
-        g, out, n = _scan(lambda x: at(m, x, b_s), r.lo, r.hi, r.points, spec.tol)
+        g, out, n, how = _scan(m, model, lambda x: (x * math.sqrt(b_s / 2.0), b_s),
+                               r.lo, r.hi, r.points, 1.0, 0.0, constraints)
         evals += n
+        hows.append(how)
     if spec.b_s_fixed is None:
         r = spec.b_s_range
-        b_s, out, n = _scan(lambda x: at(m, g, x), r.lo, r.hi, r.points, spec.tol)
+        b_s, out, n, how = _scan(m, model, lambda x: (g * math.sqrt(x / 2.0), x),
+                                 r.lo, r.hi, r.points, 0.5, 1.0, constraints)
         evals += n
-    return _result(spec, m, g, b_s, g * math.sqrt(b_s / 2.0), out, spec.w_cap, evals,
-                   "direct 2-D search")
+        hows.append(how)
+    # At a window end of h only if every scan ended on an end of its range;
+    # with both axes fixed h is the one point of its window, so attained.
+    how = next((x for x in reversed(hows) if x != "end"), "end" if hows else "optimum")
+    return _result(spec, maximise, m, g, b_s, g * math.sqrt(b_s / 2.0), out, spec.w_cap,
+                   evals, how, "direct 2-D search")
 
 
 _METHODS = {"reduced": _solve_reduced, "grid2d": _solve_grid2d}
 
 
-def _solve(spec: ExtremumSpec, objective: str, method: str) -> ExtremumResult:
+def _solve(spec: ExtremumSpec, maximise: bool, method: str) -> ExtremumResult:
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return _METHODS[method](replace(spec, objective=objective))
+    return _METHODS[method](spec, maximise)
 
 
 def minimize_icpe(spec: ExtremumSpec, method: str = "reduced") -> ExtremumResult:
@@ -597,7 +594,7 @@ def minimize_icpe(spec: ExtremumSpec, method: str = "reduced") -> ExtremumResult
     ``method="grid2d"`` scans the (g, B_s) grid directly.  Both must
     agree — the second exists as a cross-check of the first.
     """
-    return _solve(spec, "min_icpe", method)
+    return _solve(spec, False, method)
 
 
 def maximize_icse(spec: ExtremumSpec, method: str = "reduced") -> ExtremumResult:
@@ -605,7 +602,7 @@ def maximize_icse(spec: ExtremumSpec, method: str = "reduced") -> ExtremumResult
 
     The near-infimum band (``icpe_band_eps``) needs ``method="reduced"``.
     """
-    return _solve(spec, "max_icse", method)
+    return _solve(spec, True, method)
 
 
 # ---------------------------------------------------------------------------
@@ -637,36 +634,29 @@ def verify_statement1(
     m: int,
     g_range: GridRange | None = None,
     b_s_grid: GridRange | None = None,
-    model: SerModel | None = None,
-    tol: float = 1e-6,
 ) -> FlatnessReport:
     """Check that min_g ICPE(g, B_s) does not depend on B_s.
 
     For each base on ``b_s_grid`` the power criterion is minimised over
     the induced h-window; the relative spread of those minima is compared
-    against the threshold max(1e-6, tol), since a coarse refinement
-    tolerance caps the achievable flatness.
-
-    The default model is :class:`ExactCoherentOrthogonal`, whose fixed
-    rule is smooth in h, so the minima differ by far less than 1e-6 even
-    on the m = 2 small-h plateau.
+    against the threshold 1e-6.  The model is
+    :class:`ExactCoherentOrthogonal`, whose fixed rule is smooth in h, so
+    the minima differ by far less than that, even on the m = 2 small-h
+    plateau.
     """
     if g_range is None:
         g_range = GridRange(1e-4, 10.0, 48)
     if b_s_grid is None:
         b_s_grid = GridRange(0.1, 100.0, 13)
-    if model is None:
-        model = ExactCoherentOrthogonal()
-    threshold = max(1e-6, tol)
+    model = ExactCoherentOrthogonal()
 
     rows = []
     for b_s in b_s_grid.log_grid():
         s = math.sqrt(b_s / 2.0)
-        h_lo, h_hi = g_range.lo * s, g_range.hi * s
-        h, (w_min, *_), _ = _scan(partial(_evaluate, m, model), h_lo, h_hi,
-                                  g_range.points, tol)
-        rows.append(FlatnessRow(b_s=b_s, h_min=h, w_min=w_min,
-                                attained=_attained(h, h_lo, h_hi, tol)))
+        h, (w_min, *_), _, how = _scan(m, model, lambda x: (x, None), g_range.lo * s,
+                                       g_range.hi * s, g_range.points, 1.0, 0.0,
+                                       _UNCONSTRAINED)
+        rows.append(FlatnessRow(b_s=b_s, h_min=h, w_min=w_min, attained=how != "end"))
     w_values = [r.w_min for r in rows]
     w_low, w_high = min(w_values), max(w_values)
     spread = (w_high - w_low) / w_low
@@ -676,8 +666,8 @@ def verify_statement1(
         w_low=w_low,
         w_high=w_high,
         spread_rel=spread,
-        threshold=threshold,
-        passed=spread <= threshold,
+        threshold=_STATEMENT1_THRESHOLD,
+        passed=spread <= _STATEMENT1_THRESHOLD,
     )
 
 
@@ -706,9 +696,7 @@ class MonotonicityReport:
 def verify_statement3(
     m: int,
     g_values: tuple[float, ...] | list[float],
-    model: SerModel | None = None,
     h_window: tuple[float, float] = (1e-2, 50.0),
-    tol: float = 1e-6,
 ) -> MonotonicityReport:
     """Check that the ICPE-optimal base falls as g^-2.
 
@@ -718,6 +706,7 @@ def verify_statement3(
     each amplitude is the map-back B_s*(g) = 2 (h*/g)**2.  The report
     records strict monotonicity of B_s*(g) and the relative spread of the
     invariant product B_s* * g**2 (= 2 h*^2), which passes at <= 1e-3.
+    The model is :class:`ExactCoherentOrthogonal`.
 
     For m = 2 the criterion has no interior minimum; h* is then the lower
     window edge and ``attained`` is False — the mapped bases are the
@@ -728,12 +717,11 @@ def verify_statement3(
         raise ValueError("need at least two g values")
     if any(b <= a for a, b in zip(g_sorted, g_sorted[1:])):
         raise ValueError("g values must be strictly increasing")
-    if model is None:
-        model = ExactCoherentOrthogonal()
+    model = ExactCoherentOrthogonal()
     h_lo, h_hi = h_window
     GridRange(h_lo, h_hi)  # refuses an empty or reversed window
-    h_star, (w_inf, *_), _ = _scan(partial(_evaluate, m, model), h_lo, h_hi,
-                                   _STATEMENT3_POINTS, tol)
+    h_star, (w_inf, *_), _, how = _scan(m, model, lambda x: (x, None), h_lo, h_hi,
+                                        _STATEMENT3_POINTS, 1.0, 0.0, _UNCONSTRAINED)
 
     rows = []
     for g in g_sorted:
@@ -747,7 +735,7 @@ def verify_statement3(
         m=m,
         h_star=h_star,
         w_inf=w_inf,
-        attained=_attained(h_star, h_lo, h_hi, tol),
+        attained=how != "end",
         rows=tuple(rows),
         strictly_decreasing=decreasing,
         product_spread_rel=spread,
@@ -789,8 +777,7 @@ def sweep_curves(
     h = g_mesh * np.sqrt(b_mesh / 2.0)
     out = []
     for m, p in zip(m_values, model.ser_table(m_values, h)):
-        c, w = _criteria(m, h, p)
-        c_f = 2.0 * c / b_mesh
-        out += [CurvePoint(m=m, g=g, b_s=b_s, h=hp, c_f=cf, w=wp) for g, b_s, hp, cf, wp
-                in zip(g_mesh.tolist(), b_mesh.tolist(), h.tolist(), c_f.tolist(), w.tolist())]
+        for g, b_s, hp, q in zip(g_mesh.tolist(), b_mesh.tolist(), h.tolist(), p.tolist()):
+            c, w = _criteria(m, hp, q)
+            out.append(CurvePoint(m=m, g=g, b_s=b_s, h=hp, c_f=2.0 * c / b_s, w=w))
     return out

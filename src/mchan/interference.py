@@ -390,12 +390,9 @@ def _ksq_for_block(table: np.ndarray, z: np.ndarray, y: np.ndarray, u: np.ndarra
     return k * k
 
 
-def _intra_table(ensemble: SignalEnsemble, ref_index: int) -> np.ndarray:
-    """Lag table of the reference row against the cell's other rows."""
-    if not (0 <= ref_index < ensemble.n_signals):
-        raise ValueError(f"ref_index {ref_index} out of range")
-    others = np.delete(ensemble.signals, ref_index, axis=0)
-    return _lag_corr(ensemble.signals[ref_index], others)
+def _intra_table(ensemble: SignalEnsemble) -> np.ndarray:
+    """Lag table of the reference row (row 0) against the cell's other rows."""
+    return _lag_corr(ensemble.signals[0], ensemble.signals[1:])
 
 
 def _intra_power(table: np.ndarray, errors: SyncErrorModel, draw, T: float,
@@ -412,17 +409,15 @@ def _intra_power(table: np.ndarray, errors: SyncErrorModel, draw, T: float,
     return _pooled_estimate([ksq[:, j:j + 1] for j in range(count)], [1.0] * count, T, trials)
 
 
-def _inter_terms(layout: CellLayout, ref_index: int):
+def _inter_terms(layout: CellLayout):
     """(lag table over all interfering signals, signals per cell, cell weights)."""
     ref_ens = layout.reference
-    if not (0 <= ref_index < ref_ens.n_signals):
-        raise ValueError(f"ref_index {ref_index} out of range")
     widths = [cell.ensemble.n_signals for cell in layout.interferers]
     weights = [cell.weight for cell in layout.interferers]
     if not widths:
         return np.empty((0, ref_ens.n_chips)), widths, weights
     signals = np.concatenate([cell.ensemble.signals for cell in layout.interferers])
-    return _lag_corr(ref_ens.signals[ref_index], signals), widths, weights
+    return _lag_corr(ref_ens.signals[0], signals), widths, weights
 
 
 def _inter_power(table: np.ndarray, widths: list[int], weights: list[float],
@@ -437,8 +432,10 @@ def _inter_power(table: np.ndarray, widths: list[int], weights: list[float],
 
 
 def intra_cell_interference(ensemble: SignalEnsemble, errors: SyncErrorModel,
-                            trials: int, seed: int, ref_index: int = 0) -> InterferenceEstimate:
+                            trials: int, seed: int) -> InterferenceEstimate:
     """Interference power from the other signals of the receiver's own cell.
+
+    The receiver's own signal is the ensemble's row 0.
 
     The cell is symbol-synchronous: the only lag is the timing jitter
     itself.  With zero error widths the zero-lag correlations are read
@@ -447,13 +444,13 @@ def intra_cell_interference(ensemble: SignalEnsemble, errors: SyncErrorModel,
     """
     _check_trials(trials)
     _check_seed(seed)
-    table = _intra_table(ensemble, ref_index)
+    table = _intra_table(ensemble)
     return _intra_power(table, errors, _draw_once(seed, trials), ensemble.symbol_duration,
                         trials)
 
 
 def inter_cell_interference(layout: CellLayout, errors: SyncErrorModel,
-                            trials: int, seed: int, ref_index: int = 0) -> InterferenceEstimate:
+                            trials: int, seed: int) -> InterferenceEstimate:
     """Interference power from other cells at the reference receiver.
 
     Cells are mutually unsynchronised: each trial draws a uniform integer
@@ -462,7 +459,7 @@ def inter_cell_interference(layout: CellLayout, errors: SyncErrorModel,
     """
     _check_trials(trials)
     _check_seed(seed)
-    table, widths, weights = _inter_terms(layout, ref_index)
+    table, widths, weights = _inter_terms(layout)
     return _inter_power(table, widths, weights, errors, _draw_once(seed, trials),
                         layout.reference.symbol_duration, trials)
 
@@ -484,7 +481,7 @@ class SurfaceResult:
 
 def sinr_surface(timing_grid, phase_grid, *, ensemble: SignalEnsemble | None = None,
                  layout: CellLayout | None = None, noise_power_db: float = -113.101,
-                 trials: int = 1000, seed: int = 0, ref_index: int = 0) -> SurfaceResult:
+                 trials: int = 1000, seed: int = 0) -> SurfaceResult:
     """SINR (dB) over a grid of error widths, unit received signal power.
 
     SINR = 1 / (P_intra + P_inter + P_noise) with the noise power given
@@ -500,9 +497,9 @@ def sinr_surface(timing_grid, phase_grid, *, ensemble: SignalEnsemble | None = N
     _check_trials(trials)
     _check_seed(seed)
     intra_ens = ensemble if ensemble is not None else layout.reference
-    intra_table = _intra_table(intra_ens, ref_index)
+    intra_table = _intra_table(intra_ens)
     if layout is not None:
-        inter_table, widths, weights = _inter_terms(layout, ref_index)
+        inter_table, widths, weights = _inter_terms(layout)
     draw = _draw_once(seed, trials)
     p_noise = 10.0 ** (noise_power_db / 10.0)
     points = []
@@ -551,7 +548,7 @@ def degree_interference_sweep(degrees, trials: int, seed: int, signals_per_cell:
         int_ens = SignalEnsemble.cyclic_shifts(other, signals_per_cell, cell_id=1)
         layout = CellLayout(reference=ref_ens,
                             interferers=(InterferingCell(ensemble=int_ens, weight=1.0),))
-        est = _inter_power(*_inter_terms(layout, 0), errors, draw, ref_ens.symbol_duration,
+        est = _inter_power(*_inter_terms(layout), errors, draw, ref_ens.symbol_duration,
                            trials)
         rows.append((int(n), est.power, est.std_error))
     return rows

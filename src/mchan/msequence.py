@@ -29,7 +29,6 @@ __all__ = [
     "PRIMITIVE_TAPS",
     "MSequence",
     "NonPrimitiveTapsError",
-    "decimate",
     "distinct_msequences",
     "generate_msequence",
     "periodic_autocorrelation",
@@ -226,7 +225,7 @@ def periodic_autocorrelation(chips: np.ndarray) -> np.ndarray:
     return np.rint(r).astype(np.int64)
 
 
-def decimate(seq: MSequence, q: int) -> MSequence:
+def _decimate(seq: MSequence, q: int) -> MSequence:
     """Decimation d[k] = b[(q k) mod N]; an m-sequence again when gcd(q, N) = 1."""
     N = seq.period
     if math.gcd(q, N) != 1:
@@ -264,7 +263,7 @@ def distinct_msequences(n: int, count: int) -> list[MSequence]:
             coset = _coset(q, n, N)
             if coset not in used:
                 used.add(coset)
-                derived = decimate(base, q)
+                derived = _decimate(base, q)
                 if int(derived.chips.astype(np.int64).sum()) != -1:
                     raise ValueError(
                         f"decimation by {q} lost the balance property (degree {n})"

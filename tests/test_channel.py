@@ -92,6 +92,31 @@ def test_exact_ser_is_refused_above_its_validated_m():
     assert UnionBound().ser(1024, 5.0) == pytest.approx(1023 * q_function(5.0), rel=1e-14)
 
 
+def scipy_tail_ser_slope(m: int, h: float) -> float:
+    """dp/dh = -sqrt(2) (m-1) Integral phi(u) phi(u+s) Phi(u+s)**(m-2) du by quad, in pieces."""
+    shift, k = h * math.sqrt(2.0), m - 2
+
+    def f(u):
+        v = u + shift
+        return math.exp(-0.5 * (u * u + v * v) + k * float(special.log_ndtr(v))) / (2.0 * math.pi)
+
+    peak = -shift / 2.0
+    edges = [peak + d for d in (-40.0, -20.0, -6.0, -2.0, 0.0, 2.0, 6.0, 20.0, 40.0)]
+    return -math.sqrt(2.0) * (m - 1) * math.fsum(
+        integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for a, b in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("m, bound", [(3, 1e-12), (8, 1e-12), (33, 1e-12), (64, 2e-12)])
+def test_exact_ser_slope_relative_accuracy_in_the_tail(m, bound):
+    # dp/dh comes from the same call and nodes as p, which it leaves unchanged.
+    for h in (0.5, 3.0, 6.5):  # three of the tail points above
+        p, p_h = EXACT._ser_slope(m, h)
+        assert p == EXACT.ser(m, h)
+        ref = scipy_tail_ser_slope(m, h)
+        assert abs(p_h - ref) <= bound * abs(ref)
+
+
 @pytest.mark.parametrize("m,h", [(2, 0.5), (4, 1.0), (8, 1.5), (16, 0.2), (32, 2.5), (64, 3.0)])
 def test_exact_ser_matches_independent_quadrature(m, h):
     assert EXACT.ser(m, h) == pytest.approx(scipy_ser(m, h), abs=1e-9)

@@ -117,14 +117,15 @@ def test_exact_ser_bound_exits_2(capsys):
 
 
 # Frozen stderr of each infeasible search: the certificate helper that both
-# solvers share must not move a digit.
+# solvers share must not move a digit.  c_F peaks at the kink h = g_hi *
+# sqrt(b_s_lo / 2), which both scan grids hold, so both certify it.
 INFEASIBLE_STDERR = {
     "reduced": (
         "infeasible: no feasible point in the search region; best margin "
-        "-7.935037116990841 at m=2, h=2.319305821298884\n"
-        'nearest-feasible certificate: {"b_s": 0.10758358985421781, "c_f": 17.06496288300916, '
-        '"g": 10.0, "h": 2.319305821298884, "m": 2, "margin": -7.935037116990841, '
-        '"w": 5.859960006099143}\n'),
+        "-6.960751242098709 at m=2, h=2.23606797749979\n"
+        'nearest-feasible certificate: {"b_s": 0.1, "c_f": 18.03924875790129, "g": 10.0, '
+        '"h": 2.23606797749979, "m": 2, "margin": -6.960751242098709, '
+        '"w": 5.543468097927274}\n'),
     "grid2d": (
         "infeasible: no feasible point on the 2-D grid; best margin "
         "-6.960751242098709 at m=2, h=2.23606797749979\n"
@@ -144,10 +145,12 @@ def test_infeasible_search_exits_3_with_certificate(method):
 
 def test_optimize_grid2d_output_is_frozen():
     # On the default log grids h depends only on 3i + 2j (g index i, B_s
-    # index j), so about 20 mesh cells share h* up to rounding, and the
-    # last bit of their SER picks which (g, B_s) wins.  The frozen pair
-    # therefore moves with any last-bit change to p(m, h); h* and w do not
-    # beyond their last digits.
+    # index j), so about 20 mesh cells share the best h up to rounding.
+    # Among the cells within 4 ulp of the best w the search refines from
+    # the one whose g is nearest the g-range's geometric centre, so the
+    # last bits of p no longer pick the printed (g, B_s).  Both coordinate
+    # scans end on a root of the slope, so h holds to ~2e-15 (reference
+    # h* = 1.1693372642256438).
     proc = run_cli("optimize", "--m", "8", "--method", "grid2d")
     assert proc.returncode == 0
     assert proc.stdout == (
@@ -163,13 +166,31 @@ def test_optimize_grid2d_output_is_frozen():
         "# param method=grid2d\n"
         "# param objective=min-icpe\n"
         "# param seed=0\n"
-        "# param tol=1e-06\n"
-        "# result evaluations=4233\n"
+        "# result evaluations=4238\n"
         "# result note=direct 2-D search\n"
         "objective,m,g,b_s,h,value,c_f,w,attained\n"
-        "min_icpe,8,0.05229435416897158,1000.0,1.1693373076126998,"
-        "1.4854346175278685,0.0018410096585072546,1.4854346175278685,true\n"
+        "min_icpe,8,0.30224529545729784,29.935772947204942,1.1693372642256459,"
+        "1.4854346175278677,0.06149864662377538,1.4854346175278677,true\n"
     )
+
+
+@pytest.mark.parametrize("argv, row", [
+    (("--cf-min", "18"),
+     "min_icpe,2,9.95767763015272,0.1,2.226604407905049,5.50863021033577,18.0,"
+     "5.50863021033577,true"),
+    (("--cf-min", "17.5", "--objective", "max-icse"),
+     "max_icse,2,10.0,0.1,2.23606797749979,18.03924875790129,18.03924875790129,"
+     "5.543468097927274,true"),
+    (("--objective", "max-icse"),
+     "max_icse,2,10.0,0.1,2.23606797749979,18.03924875790129,18.03924875790129,"
+     "5.543468097927274,true"),
+], ids=("cf_min_18", "cf_min_max_icse", "max_icse"))
+def test_feasible_set_at_the_kink_is_found(capsys, argv, row):
+    # c_F = 2 C / b_s peaks at the kink h = g_hi * sqrt(b_s_lo / 2) = 2.236,
+    # where it is 18.039; the scan grid holds the kink, so a feasible set
+    # narrower than one grid step around it is found.
+    assert cli.main(["optimize", "--m", "2", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == row
 
 
 def test_narrow_band_search_succeeds():
@@ -287,11 +308,11 @@ def test_negative_seed_is_a_usage_error():
     ("mac", "simulate", "--discipline", "mm1", "--length-bits", "64",
      "--loads", "0.5,1.2", "--packets", "2000", "--warmup", "200",
      "--batches", "4", "--seed", "9"),
-    ("optimize", "--m", "4", "--bs", "2.0", "--tol", "1e-4"),
-    ("optimize", "--m", "4", "--g", "1.0", "--tol", "1e-4"),
+    ("optimize", "--m", "4", "--bs", "2.0"),
+    ("optimize", "--m", "4", "--g", "1.0"),
     ("criteria", "--m", "8", "--g", "1.0", "--sweep-bs", "0.5:50:12"),
     ("optimize", "--verify", "statement3", "--m", "4", "--g-list", "0.5,1.0",
-     "--h-window", "0.3:3.0", "--tol", "1e-4"),
+     "--h-window", "0.3:3.0"),
     ("interference", "--mode", "nsweep", "--n-list", "5,6", "--trials", "50", "--seed", "3"),
     ("mac", "limits", "--discipline", "mm1", "--length-bits", "1000", "--geom-p", "0.002"),
     ("mac", "allocate", "--n", "4", "--shares", "1:0.5,2:0.3,3:0.2"),
@@ -313,7 +334,7 @@ def test_rerun_from_header_is_byte_identical(tmp_path, argv):
 
 def test_optimize_verifier_output():
     proc = run_cli("optimize", "--verify", "statement3", "--m", "4",
-                   "--g-list", "0.5,1.0", "--h-window", "0.3:3.0", "--tol", "1e-4")
+                   "--g-list", "0.5,1.0", "--h-window", "0.3:3.0")
     assert proc.returncode == 0
     assert "# result passed=true" in proc.stdout
     columns, rows = data_rows(proc.stdout)
@@ -323,22 +344,26 @@ def test_optimize_verifier_output():
 
 
 def test_optimize_point_output():
-    proc = run_cli("optimize", "--m", "4", "--tol", "1e-5")
+    proc = run_cli("optimize", "--m", "4")
     assert proc.returncode == 0
     columns, rows = data_rows(proc.stdout)
     row = rows[0]
     assert row["objective"] == "min_icpe"
-    assert float(row["value"]) == pytest.approx(1.6788218475, rel=1e-5)
+    assert float(row["h"]) == pytest.approx(0.72047796398742139823, rel=1e-12)
+    assert float(row["value"]) == pytest.approx(1.6788218474884149915, rel=1e-13)
     assert row["attained"] == "true"
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_flag=1\n")
     proc = run_cli("mac", "limits", "--discipline", "md1", "--length-bits", "10",
                    "--config", str(cfg))
     assert proc.returncode == 2
     assert "unrecognized arguments: --no-such-flag=1" in proc.stderr
+    cfg.write_text("m=8\ntol=1e-06\n")  # an older header's tol line: the option is gone
+    assert cli.main(["optimize", "--config", str(cfg)]) == 2
+    assert "unrecognized arguments: --tol=1e-06" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, argv", [
@@ -359,9 +384,9 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, line, argv):
     ("criteria", "--m", "4", "--g", "1.0", "--bs", "2.0"),
     ("criteria", "--m", "4", "--g", "1.0", "--bs", "2.0", "--n0n", "1e-20", "--ser", "union"),
     ("criteria", "--m-list", "2,4", "--g", "1.0", "--sweep-bs", "0.5:5:3"),
-    ("optimize", "--m", "4", "--bs", "2.0", "--tol", "1e-3"),
+    ("optimize", "--m", "4", "--bs", "2.0"),
     ("optimize", "--verify", "statement1", "--m", "4", "--g-range", "0.01:10.0:8",
-     "--bs-range", "0.5:5.0:2", "--tol", "1e-3"),
+     "--bs-range", "0.5:5.0:2"),
     ("interference", "--mode", "surface", "--degree", "3", "--grid", "2x2", "--trials", "10"),
     ("interference", "--mode", "nsweep", "--n-list", "5", "--trials", "10"),
     ("mac", "limits", "--discipline", "md1", "--length-bits", "1000"),
@@ -474,7 +499,7 @@ PUBLIC_SURFACE = {
             "OverSubscriptionError", "SimConfig", "SimResult", "StationAllocation",
             "TokenAllocation", "allocate_identifiers", "geometric_entropy", "md1_limits",
             "mm1_limits", "simulate_tdma"},
-    "msequence": {"MSequence", "NonPrimitiveTapsError", "PRIMITIVE_TAPS", "decimate",
+    "msequence": {"MSequence", "NonPrimitiveTapsError", "PRIMITIVE_TAPS",
                   "distinct_msequences", "generate_msequence", "periodic_autocorrelation"},
     "cli": {"main"},
 }

@@ -30,17 +30,22 @@ from mchan.extremum import (
 
 EXACT = ExactCoherentOrthogonal()
 
-# Frozen infima of w(h) = h^2 / C_m(p(h)), found independently with a
-# high-precision scalar minimiser over h.
-W_INF = {4: 1.6788218475, 8: 1.4854346175, 16: 1.3811390715}
-H_STAR = {4: 0.72047801, 8: 1.16933726, 16: 1.51191510}
+# Frozen infima of w(h) = h^2 / C_m(p(h)) and their minimisers h*, the
+# roots of F(h) = 2 C - h C_p p_h, computed once with mpmath 1.3.0 at 34
+# digits.
+H_STAR = {4: 0.72047796398742139823, 8: 1.1693372642256438241, 16: 1.5119151125264789168,
+          32: 1.7963789403050058563, 64: 2.0434514004486023712}
+W_INF = {4: 1.6788218474884149915, 8: 1.4854346175278661804, 16: 1.3811390714581596551,
+         32: 1.3155109572618088916, 64: 1.2700874108759407937}
 
 
-@pytest.mark.parametrize("m", [4, 8, 16])
+@pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
 def test_unconstrained_minimum_matches_frozen_oracle(m):
+    # The search ends on a sign change of dw/dh, so h* holds to ~5e-14
+    # although w is flat there.
     res = minimize_icpe(ExtremumSpec(m_fixed=m))
-    assert res.value == pytest.approx(W_INF[m], rel=1e-6)
-    assert res.h == pytest.approx(H_STAR[m], rel=1e-4)
+    assert res.value == pytest.approx(W_INF[m], rel=1e-13)
+    assert res.h == pytest.approx(H_STAR[m], rel=1e-12)
     assert res.attained
     assert res.w == pytest.approx(res.value, rel=1e-12)
     # reported (g, b_s) must reproduce h
@@ -69,7 +74,7 @@ def test_reduced_and_grid2d_agree_unconstrained():
 @given(m=st.sampled_from(DEFAULT_M_SET),
        g_lo=st.floats(1e-2, 1.0), g_decades=st.floats(0.5, 3.0), g_points=st.integers(3, 10),
        b_lo=st.floats(0.1, 10.0), b_decades=st.floats(0.5, 3.0), b_points=st.integers(3, 10))
-# The best grid point is the window edge h_lo, and the probe inside it is better.
+# The best grid point is the window edge h_lo, and its slope points into the window.
 @example(m=8, g_lo=1.0, g_decades=1.0, g_points=3, b_lo=1.0, b_decades=1.0, b_points=3)
 def test_reduced_and_grid2d_agree_on_small_grids(m, g_lo, g_decades, g_points,
                                                  b_lo, b_decades, b_points):
@@ -89,6 +94,18 @@ def test_reduced_and_grid2d_agree_constrained():
     assert "c_f_min" in a.constraint_slack
     assert a.constraint_slack["c_f_min"] >= 0.0
     assert a.c_f >= 1.0
+
+
+@pytest.mark.parametrize("search", [minimize_icpe, maximize_icse])
+def test_reduced_and_grid2d_agree_with_g_and_base_fixed(search):
+    # Only m is free: each m's window is the one point h = g sqrt(B_s/2),
+    # which is attained, and grid2d runs no coordinate scan.
+    spec = ExtremumSpec(g_fixed=1.0, b_s_fixed=2.0, m_set=(2, 4, 8))
+    a = search(spec, method="reduced")
+    b = search(spec, method="grid2d")
+    assert (b.m, b.g, b.b_s, b.h) == (a.m, a.g, a.b_s, a.h) == (a.m, 1.0, 2.0, 1.0)
+    assert b.value == a.value
+    assert a.attained and b.attained
 
 
 def test_free_m_prefers_larger_ensemble():
@@ -174,26 +191,28 @@ def test_band_search_reaches_the_band_edge(band_scan, m, eps):
 
 def test_search_work_counts(band_scan):
     # Deterministic guards on the refinement's cost (grid points included).
-    assert minimize_icpe(ExtremumSpec()).evaluations <= 460  # 425; 557 by golden section
-    # m = 2: the infimum sits on the window edge, and one probe inside it
-    # settles that after the 64-point grid.
+    assert minimize_icpe(ExtremumSpec()).evaluations <= 460  # 438; 557 by golden section
+    # m = 2: the infimum sits on the window edge, and the slope probe there
+    # points out of the window, which ends the search after the 64-point grid.
     assert minimize_icpe(ExtremumSpec(m_fixed=2)).evaluations == 65
     total = sum(res.evaluations for _, res in band_scan.values())
-    assert total <= 5000  # 4558; 5576 by golden section
+    assert total <= 5000  # 4685; 5576 by golden section
 
 
 def test_one_grid_kernel_call_per_search(monkeypatch):
     # Every m of a search, and both passes of a band search, share one SER
-    # table on the scan grid; refinement probes are one h each.
+    # table on the scan grid; refinement probes are one h each.  The count
+    # is 384 grid points and 54 probes: one at m = 2, whose slope at h_lo
+    # points out of the window, and 10-11 to close each slope root.
     kernel, grid_calls = channel._orthogonal_ser, []
 
-    def counted(ms, h):
+    def counted(ms, h, **kw):
         if h.size > 1:
             grid_calls.append(tuple(ms))
-        return kernel(ms, h)
+        return kernel(ms, h, **kw)
 
     monkeypatch.setattr(channel, "_orthogonal_ser", counted)
-    assert minimize_icpe(ExtremumSpec()).evaluations == 425
+    assert minimize_icpe(ExtremumSpec()).evaluations == 438
     assert grid_calls == [DEFAULT_M_SET]
     grid_calls.clear()
     maximize_icse(ExtremumSpec(m_fixed=8, icpe_band_eps=1e-3))
@@ -221,6 +240,68 @@ def test_constraints_met_on_the_scan_grid_are_met_exactly(m, k, maximise, floor,
     assert all(s >= 0.0 for s in res.constraint_slack.values())
 
 
+@settings(deadline=None, max_examples=25)
+@given(m=st.sampled_from(DEFAULT_M_SET), maximise=st.booleans(),
+       fixed=st.sampled_from([None, "g", "b_s"]),
+       constraint=st.sampled_from([None, "c_f_min", "w_cap"]),
+       g_lo=st.floats(1e-2, 1.0), g_decades=st.floats(0.5, 3.0),
+       b_lo=st.floats(0.1, 10.0), b_decades=st.floats(0.5, 3.0),
+       points=st.integers(3, 16), k=st.integers(0, 15), factor=st.floats(0.3, 0.99))
+# At fixed g, c_F = C g**2 / h**2 peaks at the root of dw/dh.
+@example(m=8, maximise=True, fixed="g", constraint=None, g_lo=0.1, g_decades=2.0, b_lo=0.1,
+         b_decades=3.0, points=8, k=0, factor=0.5)
+def test_search_ends_on_a_first_order_certificate(m, maximise, fixed, constraint, g_lo,
+                                                  g_decades, b_lo, b_decades, points, k, factor):
+    # The reported h is a slope root, a margin root, a kink, or a window end
+    # whose slope points out of the window.  So no feasible point a relative
+    # 1e-6 away inside the window is better (beyond rounding); only such a
+    # window end is reported unattained; and an active constraint is
+    # violated on one side.
+    g = GridRange(g_lo, g_lo * 10.0 ** g_decades, points)
+    b = GridRange(b_lo, b_lo * 10.0 ** b_decades, points)
+    spec = ExtremumSpec(m_fixed=m, g_range=g, b_s_range=b,
+                        g_fixed=math.sqrt(g.lo * g.hi) if fixed == "g" else None,
+                        b_s_fixed=math.sqrt(b.lo * b.hi) if fixed == "b_s" else None)
+    g_ends = (spec.g_fixed,) * 2 if fixed == "g" else (g.lo, g.hi)
+    b_ends = (spec.b_s_fixed,) * 2 if fixed == "b_s" else (b.lo, b.hi)
+    h_lo, h_hi = (x * math.sqrt(y / 2.0) for x, y in zip(g_ends, b_ends))
+
+    def criteria(h):  # c_F at the smallest compatible base, and w
+        if spec.b_s_fixed is not None:
+            base = spec.b_s_fixed
+        elif spec.g_fixed is not None:
+            base = 2.0 * (h / spec.g_fixed) ** 2
+        else:
+            base = max(b.lo, 2.0 * (h / g.hi) ** 2)
+        c = capacity_bits_per_symbol(m, EXACT.ser(m, h))
+        return 2.0 * c / base, h * h / c
+
+    if constraint is not None:  # met at the k-th scan-grid point
+        c_f, w = criteria(GridRange(h_lo, h_hi, points).log_grid()[k % points])
+        spec = replace(spec, **{constraint: c_f * factor if constraint == "c_f_min"
+                                else w / factor})
+    res = (maximize_icse if maximise else minimize_icpe)(spec)
+    assert all(v >= 0.0 for v in res.constraint_slack.values())
+    value = -res.value if maximise else res.value
+    infeasible_sides = []
+    for x in (res.h * (1.0 - 1e-6), res.h * (1.0 + 1e-6)):
+        if not h_lo <= x <= h_hi:
+            continue
+        c_f, w = criteria(x)
+        margin = min(c_f - spec.c_f_min if spec.c_f_min else math.inf,
+                     spec.w_cap - w if spec.w_cap else math.inf)
+        infeasible_sides.append(margin < 0.0)
+        if margin >= 0.0:
+            rise = ((-c_f if maximise else w) - value) / abs(value)
+            assert rise >= -1e-13  # no better point next to it
+            if res.h in (h_lo, h_hi) and rise > 1e-9:  # the slope points out
+                assert not res.attained
+    if not res.attained:
+        assert res.h in (h_lo, h_hi)
+    if any(res.constraint_active.values()):
+        assert any(infeasible_sides)
+
+
 def test_explicit_power_cap_binds():
     res = maximize_icse(ExtremumSpec(m_fixed=4, w_cap=2.0))
     assert res.w <= 2.0
@@ -240,27 +321,28 @@ def test_infeasible_search_raises_with_certificate(method):
     assert cert["h"] == pytest.approx(cert["g"] * math.sqrt(cert["b_s"] / 2.0), rel=1e-12)
 
 
-def test_flatness_verifier_coarse_tolerance():
+def test_flatness_verifier_on_a_coarse_grid():
     report = verify_statement1(
         4,
         g_range=GridRange(1e-2, 10.0, 24),
         b_s_grid=GridRange(0.5, 50.0, 5),
-        tol=1e-3,
     )
-    assert report.threshold == 1e-3
+    assert report.threshold == 1e-6
     assert report.passed
-    assert report.spread_rel <= 1e-3
+    assert report.spread_rel <= 1e-6
     assert len(report.rows) == 5
-    # every per-base minimum agrees with the frozen infimum
+    # every per-base minimum agrees with the frozen infimum and minimiser
     for row in report.rows:
-        assert row.w_min == pytest.approx(W_INF[4], rel=1e-3)
+        assert row.w_min == pytest.approx(W_INF[4], rel=1e-13)
+        assert row.h_min == pytest.approx(H_STAR[4], rel=1e-12)
+        assert row.attained
 
 
 def test_monotonicity_verifier_interior_m():
     report = verify_statement3(8, g_values=(0.5, 1.0, 2.0), h_window=(1e-2, 10.0))
     assert report.passed
     assert report.attained
-    assert report.h_star == pytest.approx(H_STAR[8], rel=1e-4)
+    assert report.h_star == pytest.approx(H_STAR[8], rel=1e-12)
     assert report.strictly_decreasing
     assert report.product_spread_rel <= 1e-12
     bases = [r.b_s_star for r in report.rows]
@@ -270,7 +352,7 @@ def test_monotonicity_verifier_interior_m():
 
 
 def test_monotonicity_verifier_binary_boundary():
-    report = verify_statement3(2, g_values=(0.5, 1.0, 2.0), h_window=(1e-2, 5.0), tol=1e-4)
+    report = verify_statement3(2, g_values=(0.5, 1.0, 2.0), h_window=(1e-2, 5.0))
     assert not report.attained  # no interior minimum for m = 2
     assert report.strictly_decreasing
     assert report.passed
@@ -329,11 +411,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExtremumSpec(m_fixed=4, g_fixed=1.0, b_s_fixed=2.0)  # nothing left free
     with pytest.raises(ValueError):
-        ExtremumSpec(objective="maximize_profit")
-    with pytest.raises(ValueError):
         ExtremumSpec(m_set=())
-    with pytest.raises(ValueError):
-        ExtremumSpec(tol=0.0)
     with pytest.raises(ValueError):
         ExtremumSpec(c_f_min=-1.0)
     with pytest.raises(ValueError):

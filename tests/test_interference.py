@@ -285,9 +285,6 @@ def test_seed_determinism():
 def test_trials_validation():
     with pytest.raises(ValueError):
         intra_cell_interference(walsh_ensemble(), SyncErrorModel(), trials=0, seed=0)
-    with pytest.raises(ValueError):
-        intra_cell_interference(walsh_ensemble(), SyncErrorModel(), trials=10, seed=0,
-                                ref_index=99)
 
 
 def _estimators(trials, seed):
@@ -347,14 +344,14 @@ def test_surface_points_equal_the_public_estimates():
         InterferingCell(SignalEnsemble.walsh(b, 3, cell_id=2), weight=0.2)))
     timing, phase = [0.0, 0.15, 0.4], [0.0, 0.6]
     res = sinr_surface(timing, phase, layout=layout, noise_power_db=-40.0, trials=150,
-                       seed=2**33 + 1, ref_index=2)
+                       seed=2**33 + 1)
     points = iter(res.points)
     for et in timing:
         for ep in phase:
             errors = SyncErrorModel(et, ep)
             p_total = 10.0 ** (-40.0 / 10.0)
-            p_total += intra_cell_interference(ens, errors, 150, 2**33 + 1, 2).power
-            p_total += inter_cell_interference(layout, errors, 150, 2**33 + 1, 2).power
+            p_total += intra_cell_interference(ens, errors, 150, 2**33 + 1).power
+            p_total += inter_cell_interference(layout, errors, 150, 2**33 + 1).power
             assert next(points).sinr_db == -10.0 * math.log10(p_total)
 
 

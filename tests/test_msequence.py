@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from mchan import msequence
 from mchan.msequence import (
     MAX_DEGREE,
     MIN_DEGREE,
     PRIMITIVE_TAPS,
     NonPrimitiveTapsError,
-    decimate,
     distinct_msequences,
     generate_msequence,
     periodic_autocorrelation,
@@ -157,8 +157,8 @@ def test_reciprocal_reverses_sequence():
 def test_decimate_requires_coprime_index():
     seq = generate_msequence(4)  # period 15
     with pytest.raises(ValueError):
-        decimate(seq, 3)
-    d7 = decimate(seq, 7)
+        msequence._decimate(seq, 3)
+    d7 = msequence._decimate(seq, 7)
     assert d7.period == 15
     assert d7.taps is None
     assert int(d7.chips.astype(np.int64).sum()) == -1
