@@ -31,10 +31,15 @@ only on (m, h), never on which other m or h share the call.  Against an
 independent high-precision quadrature the relative error is below 1e-14
 for m <= 64 and h <= 9.5, and against Q(h) for m = 2 below 1e-12 up to
 h = 37, where Q(h) nears the smallest double.  Larger ensembles are
-refused: at m = 256 the same rule is off by 2e-11.  For the extremum
-searches the same call can also integrate, on the same nodes,
+refused: at m = 256 the same rule is off by 2e-11.
+
+Every extremum search and verifier runs on this exact model.  Its probes
+take p and, from the same call on the same nodes,
 dp/dh = -sqrt(2) (m-1) Integral phi(u) phi(u + h*sqrt(2)) Phi(u + h*sqrt(2))**(m-2) du,
-within 1e-12 relative for m <= 33 and 2e-12 at m = 64.
+within 1e-12 relative for m <= 33 and 2e-12 at m = 64
+(``ExactCoherentOrthogonal._ser_slope``).  The union bound
+``UnionBound`` serves the point criteria and curve sweeps only, m > 64
+included.
 """
 
 from __future__ import annotations
@@ -126,10 +131,6 @@ class SerModel:
     """
 
     def ser(self, m: int, h: float | np.ndarray) -> float | np.ndarray:
-        raise NotImplementedError
-
-    def _ser_slope(self, m: int, h: float) -> tuple[float, float]:
-        """(p, dp/dh) at one h, unchecked: a search's grid call has checked its window."""
         raise NotImplementedError
 
     def ser_table(self, ms: Sequence[int], h: np.ndarray) -> np.ndarray:
@@ -261,6 +262,7 @@ class ExactCoherentOrthogonal(SerModel):
         return _orthogonal_ser(ms, _check_h(h))
 
     def _ser_slope(self, m: int, h: float) -> tuple[float, float]:
+        """(p, dp/dh) at one h, unchecked: a search's grid call has checked its window."""
         p, p_h = _orthogonal_ser((m,), np.array([h]), slope=True)
         return p.item(), p_h.item()
 
@@ -274,13 +276,6 @@ class UnionBound(SerModel):
         hs = _check_h(h)
         k = m - 1
         return _same_kind(h, np.minimum(k * _q_array(hs), k / m))
-
-    def _ser_slope(self, m: int, h: float) -> tuple[float, float]:
-        k = m - 1
-        p = k * q_function(h)
-        if p < k / m:
-            return p, -k * _INV_SQRT_2PI * math.exp(-0.5 * h * h)
-        return k / m, 0.0  # the cap
 
 
 def capacity_bits_per_symbol(m: int, p: float) -> float:

@@ -295,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_criteria(args):
     from mchan.channel import ChannelPoint, ExactCoherentOrthogonal, UnionBound
-    from mchan.criteria import (LinkBudget, NoiseSpec, UndefinedCriterionError, cell_radius,
-                                icce, icpe, icpe_joule_forms, icse)
+    from mchan.criteria import (LinkBudget, NoiseSpec, _capacity_and_w, cell_radius, icce,
+                                icpe_joule_forms)
 
     model = ExactCoherentOrthogonal() if args.ser == "exact" else UnionBound()
 
@@ -315,11 +315,8 @@ def _cmd_criteria(args):
         raise UsageError("point mode needs --m, --g and --bs (or use --sweep-bs)")
     point = ChannelPoint(m=args.m, g=args.g, b_s=args.b_s)
     p_err = model.ser(point.m, point.h)
-    c_f = icse(point, model)
-    try:
-        w = icpe(point, model)
-    except UndefinedCriterionError:
-        w = math.inf
+    c, w = _capacity_and_w(point.m, point.h, p_err)
+    c_f = 2.0 * c / point.b_s
     columns = ["m", "g", "b_s", "h", "p", "c_f", "w"]
     row = [args.m, args.g, args.b_s, point.h, p_err, c_f, w]
 

@@ -115,12 +115,22 @@ def icpe(point: ChannelPoint, model: SerModel) -> float:
 
 def icpe_of_esinr(m: int, h: float, model: SerModel) -> float:
     """ICPE as a function of the energy SINR alone: w(h) = h**2 / C_m(p(h))."""
-    c = capacity_bits_per_symbol(m, model.ser(m, h))
+    c, w = _capacity_and_w(m, h, model.ser(m, h))
     if c <= 0.0:
         raise UndefinedCriterionError(
             f"capacity is zero at m={m}, h={h!r}; ICPE undefined"
         )
-    return h * h / c
+    return w
+
+
+def _capacity_and_w(m: int, h: float, p: float) -> tuple[float, float]:
+    """C_m and ICPE w = h**2 / C_m (+inf where capacity vanishes) from the SER ``p`` at h.
+
+    The one C_m/w rule of the package: the criteria above, the CLI's
+    point rows, and every search, sweep and grid2d mesh use it.
+    """
+    c = capacity_bits_per_symbol(m, p)
+    return c, (h * h / c if c > 0.0 else math.inf)
 
 
 def icpe_joule_forms(w: float, noise: NoiseSpec, b_s: float) -> tuple[float, float]:

@@ -4,10 +4,13 @@ ICPE depends on (g, B_s) only through the energy SINR h = g * sqrt(B_s/2),
 so every search here reduces to one dimension: build the h-window induced
 by the axis ranges, scan it on a log-spaced grid, refine from the best
 grid point, then map the optimiser back to a concrete (g, B_s) pair.
-Each scan grid is built in one place, and one SER table
-(``SerModel.ser_table``) gives its C_m for every m: the m's of a search,
-of the grid2d mesh or of a curve family, and both passes of the
-near-infimum band search, share one kernel call on the grid.
+Every search and verifier runs on the exact SER model
+(:class:`~mchan.channel.ExactCoherentOrthogonal`, m <= 64); only
+``sweep_curves`` takes another.  Each scan grid is built in one place, and
+one SER table (``ser_table``) gives its p for every m: the m's of a
+search, of the grid2d mesh or of a curve family, and both passes of the
+near-infimum band search, share one kernel call on the grid.  C_m and w
+come from the one rule ``criteria._capacity_and_w``.
 
 Every refinement ends on one rule: a sign change of the objective's slope
 (an interior optimum) or of the constraint margin (a constraint edge),
@@ -33,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from mchan.channel import ExactCoherentOrthogonal, SerModel, capacity_bits_per_symbol
+from mchan.channel import ExactCoherentOrthogonal, SerModel
+from mchan.criteria import _capacity_and_w
 
 __all__ = [
     "DEFAULT_M_SET",
@@ -54,6 +58,9 @@ __all__ = [
 ]
 
 DEFAULT_M_SET: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
+
+# The SER model of every search and verifier, and sweep_curves' default.
+_EXACT = ExactCoherentOrthogonal()
 
 # A refinement stops on a bracket this wide in log x (a few ulps of x).
 _BRACKET = 4.0 * sys.float_info.epsilon
@@ -116,7 +123,6 @@ class ExtremumSpec:
     The objective is named by the search function that takes the spec.
     """
 
-    ser_model: SerModel = field(default_factory=ExactCoherentOrthogonal)
     m_fixed: int | None = None
     g_fixed: float | None = None
     b_s_fixed: float | None = None
@@ -277,7 +283,7 @@ def _minimise(probe: Probe, grid: list[float], outs: list[Outputs]
     return x_in, out_in, evals, "margin" if on_margin else "optimum"
 
 
-def _scan(m: int, model: SerModel, to_point: Callable[[float], tuple[float, float | None]],
+def _scan(m: int, to_point: Callable[[float], tuple[float, float | None]],
           lo: float, hi: float, points: int, dlogh: float, db: float,
           constraints: Constraints) -> tuple[float, Outputs, int, str]:
     """:func:`_minimise` in x over the log grid of [lo, hi], with one SER call on the grid.
@@ -287,10 +293,10 @@ def _scan(m: int, model: SerModel, to_point: Callable[[float], tuple[float, floa
     """
     grid = _log_grid(lo, hi, points)
     points_hb = [to_point(x) for x in grid]
-    p = model.ser(m, np.array([h for h, _ in points_hb])).tolist()
-    outs = [_feasibility(*_criteria(m, h, q), b_s, constraints)
+    p = _EXACT.ser(m, np.array([h for h, _ in points_hb])).tolist()
+    outs = [_feasibility(*_capacity_and_w(m, h, q), b_s, constraints)
             for (h, b_s), q in zip(points_hb, p)]
-    return _minimise(lambda x: _probe(m, model, *to_point(x), dlogh, (db, db), constraints),
+    return _minimise(lambda x: _probe(m, *to_point(x), dlogh, (db, db), constraints),
                      grid, outs)
 
 
@@ -343,12 +349,6 @@ def _h_window(spec: ExtremumSpec) -> tuple[float, float]:
             spec.g_range.hi * math.sqrt(spec.b_s_range.hi / 2.0))
 
 
-def _criteria(m: int, h: float, p: float) -> tuple[float, float]:
-    """C_m and ICPE w = h**2 / C_m (+inf where capacity vanishes) from the SER ``p`` at h."""
-    c = capacity_bits_per_symbol(m, p)
-    return c, (h * h / c if c > 0.0 else math.inf)
-
-
 def _feasibility(c: float, w: float, b_s: float | None, constraints: Constraints) -> Outputs:
     """Objective, constraint margin, C_m and w from C_m and w at base ``b_s``.
 
@@ -368,7 +368,7 @@ def _feasibility(c: float, w: float, b_s: float | None, constraints: Constraints
     return (-(2.0 * c / b_s) if maximise else w), margin, c, w
 
 
-def _probe(m: int, model: SerModel, h: float, b_s: float | None, dlogh: float,
+def _probe(m: int, h: float, b_s: float | None, dlogh: float,
            db: tuple[float, float], constraints: Constraints) -> tuple[Outputs, float, float]:
     """:func:`_feasibility`'s outputs at one h, and the objective's slopes, from one kernel call.
 
@@ -380,8 +380,8 @@ def _probe(m: int, model: SerModel, h: float, b_s: float | None, dlogh: float,
     db - e dlogh for -c_F = -2 C / b_s.  h lies in a window whose grid the
     kernel has checked.
     """
-    p, p_h = model._ser_slope(m, h)
-    out = _feasibility(*_criteria(m, h, p), b_s, constraints)
+    p, p_h = _EXACT._ser_slope(m, h)
+    out = _feasibility(*_capacity_and_w(m, h, p), b_s, constraints)
     c = out[2]
     if c == 0.0:
         e = math.inf  # w = inf and c_F = 0 here, and both improve as h grows
@@ -451,7 +451,6 @@ def _certificate(m: int, h: float, g: float, b_s: float, out: Outputs) -> dict:
 
 
 def _solve_reduced(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
-    model = spec.ser_model
     h_lo, h_hi = _h_window(spec)
     grid = _log_grid(h_lo, h_hi, max(spec.g_range.points, spec.b_s_range.points))
     uses_c_f = maximise or spec.c_f_min is not None  # c_F = 2 C / b_s, at the smallest b_s
@@ -467,14 +466,14 @@ def _solve_reduced(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
     near_misses: list[dict] = []
     total_evals = 0
 
-    for m, p in zip(spec.m_values, model.ser_table(spec.m_values, np.array(grid))):
-        cw = [_criteria(m, h, q) for h, q in zip(grid, p.tolist())]
+    for m, p in zip(spec.m_values, _EXACT.ser_table(spec.m_values, np.array(grid))):
+        cw = [_capacity_and_w(m, h, q) for h, q in zip(grid, p.tolist())]
         m_grid, w_cap, band_note = grid, spec.w_cap, ""
         if maximise and spec.icpe_band_eps is not None:
             # h* lies in the band by construction, so it seeds the band
             # search, which reuses this pass's grid C_m.
             h_seed, seed, evals, _ = _minimise(
-                lambda h: _probe(m, model, h, None, 1.0, (0.0, 0.0), _UNCONSTRAINED), grid,
+                lambda h: _probe(m, h, None, 1.0, (0.0, 0.0), _UNCONSTRAINED), grid,
                 [_feasibility(c, w, None, _UNCONSTRAINED) for c, w in cw])
             total_evals += evals
             w_inf = seed[0]
@@ -488,7 +487,7 @@ def _solve_reduced(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
         constraints = (maximise, spec.c_f_min, w_cap)
 
         def probe(h: float, m: int = m, constraints: Constraints = constraints):
-            return _probe(m, model, h, base(h), 1.0, _base_slope(spec, h), constraints)
+            return _probe(m, h, base(h), 1.0, _base_slope(spec, h), constraints)
 
         outs = [_feasibility(c, w, base(h), constraints) for h, (c, w) in zip(m_grid, cw)]
         h, out, evals, how = _minimise(probe, m_grid, outs)
@@ -522,7 +521,6 @@ def _solve_grid2d(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
     """Direct search on the (g, B_s) grid; cross-check for the reduction."""
     if spec.icpe_band_eps is not None:
         raise ValueError("the near-infimum band (icpe_band_eps) needs method='reduced'")
-    model = spec.ser_model
     constraints: Constraints = (maximise, spec.c_f_min, spec.w_cap)
     g_grid = [spec.g_fixed] if spec.g_fixed is not None else spec.g_range.log_grid()
     b_grid = [spec.b_s_fixed] if spec.b_s_fixed is not None else spec.b_s_range.log_grid()
@@ -531,8 +529,8 @@ def _solve_grid2d(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
 
     best = near = None
     evals = 0
-    for m, p in zip(spec.m_values, model.ser_table(spec.m_values, np.array(h_mesh))):
-        outs = [_feasibility(*_criteria(m, h, q), b_s, constraints)
+    for m, p in zip(spec.m_values, _EXACT.ser_table(spec.m_values, np.array(h_mesh))):
+        outs = [_feasibility(*_capacity_and_w(m, h, q), b_s, constraints)
                 for h, q, (_, b_s) in zip(h_mesh, p.tolist(), mesh)]
         evals += len(mesh)
         v = min(o[0] for o in outs)
@@ -561,13 +559,13 @@ def _solve_grid2d(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
     hows = []
     if spec.g_fixed is None:
         r = spec.g_range
-        g, out, n, how = _scan(m, model, lambda x: (x * math.sqrt(b_s / 2.0), b_s),
+        g, out, n, how = _scan(m, lambda x: (x * math.sqrt(b_s / 2.0), b_s),
                                r.lo, r.hi, r.points, 1.0, 0.0, constraints)
         evals += n
         hows.append(how)
     if spec.b_s_fixed is None:
         r = spec.b_s_range
-        b_s, out, n, how = _scan(m, model, lambda x: (g * math.sqrt(x / 2.0), x),
+        b_s, out, n, how = _scan(m, lambda x: (g * math.sqrt(x / 2.0), x),
                                  r.lo, r.hi, r.points, 0.5, 1.0, constraints)
         evals += n
         hows.append(how)
@@ -648,14 +646,12 @@ def verify_statement1(
         g_range = GridRange(1e-4, 10.0, 48)
     if b_s_grid is None:
         b_s_grid = GridRange(0.1, 100.0, 13)
-    model = ExactCoherentOrthogonal()
 
     rows = []
     for b_s in b_s_grid.log_grid():
         s = math.sqrt(b_s / 2.0)
-        h, (w_min, *_), _, how = _scan(m, model, lambda x: (x, None), g_range.lo * s,
-                                       g_range.hi * s, g_range.points, 1.0, 0.0,
-                                       _UNCONSTRAINED)
+        h, (w_min, *_), _, how = _scan(m, lambda x: (x, None), g_range.lo * s,
+                                       g_range.hi * s, g_range.points, 1.0, 0.0, _UNCONSTRAINED)
         rows.append(FlatnessRow(b_s=b_s, h_min=h, w_min=w_min, attained=how != "end"))
     w_values = [r.w_min for r in rows]
     w_low, w_high = min(w_values), max(w_values)
@@ -717,10 +713,9 @@ def verify_statement3(
         raise ValueError("need at least two g values")
     if any(b <= a for a, b in zip(g_sorted, g_sorted[1:])):
         raise ValueError("g values must be strictly increasing")
-    model = ExactCoherentOrthogonal()
     h_lo, h_hi = h_window
     GridRange(h_lo, h_hi)  # refuses an empty or reversed window
-    h_star, (w_inf, *_), _, how = _scan(m, model, lambda x: (x, None), h_lo, h_hi,
+    h_star, (w_inf, *_), _, how = _scan(m, lambda x: (x, None), h_lo, h_hi,
                                         _STATEMENT3_POINTS, 1.0, 0.0, _UNCONSTRAINED)
 
     rows = []
@@ -762,7 +757,7 @@ def sweep_curves(
     m_values: tuple[int, ...] | list[int],
     g_values: tuple[float, ...] | list[float],
     b_s_grid: GridRange,
-    model: SerModel | None = None,
+    model: SerModel = _EXACT,
 ) -> list[CurvePoint]:
     """Criterion families over a base grid, one curve per (m, g) pair.
 
@@ -770,14 +765,12 @@ def sweep_curves(
     at the uniform-guessing error rate).  One SER table serves every m at
     every (g, B_s) of the curves.
     """
-    if model is None:
-        model = ExactCoherentOrthogonal()
     g_mesh, b_mesh = (a.ravel() for a in np.meshgrid(g_values, b_s_grid.log_grid(),
                                                       indexing="ij"))
     h = g_mesh * np.sqrt(b_mesh / 2.0)
     out = []
     for m, p in zip(m_values, model.ser_table(m_values, h)):
         for g, b_s, hp, q in zip(g_mesh.tolist(), b_mesh.tolist(), h.tolist(), p.tolist()):
-            c, w = _criteria(m, hp, q)
+            c, w = _capacity_and_w(m, hp, q)
             out.append(CurvePoint(m=m, g=g, b_s=b_s, h=hp, c_f=2.0 * c / b_s, w=w))
     return out

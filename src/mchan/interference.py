@@ -134,23 +134,16 @@ class SignalEnsemble:
         return cls(signals, cell_id)
 
     @classmethod
-    def cyclic_shifts(cls, sequence: MSequence, shifts: int | list[int] | tuple[int, ...],
+    def cyclic_shifts(cls, sequence: MSequence, shifts: int,
                       cell_id: int = 0) -> "SignalEnsemble":
-        """Cyclic shifts of one m-sequence (near-orthogonal: R = -1 off-peak).
+        """``shifts`` cyclic shifts of one m-sequence, spread evenly over its period.
 
-        An integer ``shifts`` selects that many shifts spread evenly over
-        the period; an explicit list selects exact shift values.
+        Distinct shifts are near-orthogonal: R = -1 off-peak.
         """
         N = sequence.period
-        if isinstance(shifts, int):
-            if shifts < 1 or shifts > N:
-                raise ValueError(f"shift count must be in [1, {N}], got {shifts}")
-            shift_vals = [(i * N) // shifts for i in range(shifts)]
-        else:
-            shift_vals = [int(s) % N for s in shifts]
-            if len(set(shift_vals)) != len(shift_vals):
-                raise ValueError("shifts must be distinct modulo the period")
-        signals = np.stack([np.roll(sequence.chips, s) for s in shift_vals])
+        if shifts < 1 or shifts > N:
+            raise ValueError(f"shift count must be in [1, {N}], got {shifts}")
+        signals = np.stack([np.roll(sequence.chips, (i * N) // shifts) for i in range(shifts)])
         return cls(signals, cell_id)
 
 
@@ -521,8 +514,7 @@ def sinr_surface(timing_grid, phase_grid, *, ensemble: SignalEnsemble | None = N
                          trials=trials, seed=seed)
 
 
-def degree_interference_sweep(degrees, trials: int, seed: int, signals_per_cell: int = 4,
-                              errors: SyncErrorModel | None = None
+def degree_interference_sweep(degrees, trials: int, seed: int, signals_per_cell: int = 4
                               ) -> list[tuple[int, float, float]]:
     """Inter-cell interference versus register length (one interfering cell).
 
@@ -532,14 +524,12 @@ def degree_interference_sweep(degrees, trials: int, seed: int, signals_per_cell:
     random-lag correlations, so the power falls with n.  Returns rows
     (n, power, std_error); all degrees share the seed and one set of error
     draws (common random numbers), and each row equals the public
-    ``inter_cell_interference`` estimate exactly.
+    ``inter_cell_interference`` estimate at ``SyncErrorModel()`` exactly.
     """
     from mchan.msequence import distinct_msequences
 
     _check_trials(trials)
     _check_seed(seed)
-    if errors is None:
-        errors = SyncErrorModel()
     draw = _draw_once(seed, trials)
     rows = []
     for n in degrees:
@@ -548,7 +538,7 @@ def degree_interference_sweep(degrees, trials: int, seed: int, signals_per_cell:
         int_ens = SignalEnsemble.cyclic_shifts(other, signals_per_cell, cell_id=1)
         layout = CellLayout(reference=ref_ens,
                             interferers=(InterferingCell(ensemble=int_ens, weight=1.0),))
-        est = _inter_power(*_inter_terms(layout), errors, draw, ref_ens.symbol_duration,
-                           trials)
+        est = _inter_power(*_inter_terms(layout), SyncErrorModel(), draw,
+                           ref_ens.symbol_duration, trials)
         rows.append((int(n), est.power, est.std_error))
     return rows

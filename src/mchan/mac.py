@@ -210,18 +210,16 @@ class SimResult:
         """Theory: S -> 1 / (1 + v) as G grows past 1."""
         return 1.0 / (1.0 + self.overhead)
 
-    def summary(self, limits: MacLimits | None = None) -> dict:
-        out = {
+    def summary(self, limits: MacLimits) -> dict:
+        return {
             "overhead": self.overhead,
             "c_empirical": self.capacity_empirical,
             "saturation_throughput": self.saturation_throughput,
             "relative_gap": (self.saturation_throughput - self.capacity_empirical)
             / self.saturation_throughput,
+            "v_inf": limits.v_inf,
+            "c_sup": limits.c_sup,
         }
-        if limits is not None:
-            out["v_inf"] = limits.v_inf
-            out["c_sup"] = limits.c_sup
-        return out
 
 
 def simulate_tdma(model: MacModel, config: SimConfig) -> SimResult:

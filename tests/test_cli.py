@@ -1,6 +1,7 @@
 """Command-line interface: output format, exit codes, header round-trips."""
 
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -13,8 +14,9 @@ import numpy as np
 
 import mchan
 import mchan.cli as cli
+import mchan.channel as channel
 from mchan.channel import (ChannelDomainError, ChannelPoint, ExactCoherentOrthogonal,
-                           QuadratureError)
+                           QuadratureError, UnionBound)
 from mchan.criteria import UndefinedCriterionError, icpe, icse
 from mchan.extremum import GridRange
 from mchan.mac import OverSubscriptionError
@@ -47,19 +49,43 @@ def data_rows(text: str):
 
 
 def test_criteria_point_matches_library():
-    proc = run_cli("criteria", "--m", "4", "--g", "1.0", "--bs", "2.0")
-    assert proc.returncode == 0
-    columns, rows = data_rows(proc.stdout)
-    assert columns == ["m", "g", "b_s", "h", "p", "c_f", "w"]
-    assert len(rows) == 1
-    row = rows[0]
-    model = ExactCoherentOrthogonal()
     point = ChannelPoint(m=4, g=1.0, b_s=2.0)
-    assert row["m"] == "4"
-    assert float(row["h"]) == point.h
-    assert row["p"] == repr(model.ser(point.m, point.h))
-    assert row["c_f"] == repr(icse(point, model))
-    assert row["w"] == repr(icpe(point, model))
+    for ser, model in (("exact", ExactCoherentOrthogonal()), ("union", UnionBound())):
+        proc = run_cli("criteria", "--m", "4", "--g", "1.0", "--bs", "2.0", "--ser", ser)
+        assert proc.returncode == 0
+        columns, rows = data_rows(proc.stdout)
+        assert columns == ["m", "g", "b_s", "h", "p", "c_f", "w"]
+        assert len(rows) == 1
+        row = rows[0]
+        assert row["m"] == "4"
+        assert float(row["h"]) == point.h
+        assert row["p"] == repr(model.ser(point.m, point.h))
+        assert row["c_f"] == repr(icse(point, model))
+        assert row["w"] == repr(icpe(point, model))
+
+
+def test_criteria_point_makes_one_ser_kernel_call(monkeypatch, capsys):
+    calls = []
+    kernel = channel._orthogonal_ser
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "_orthogonal_ser", counting)
+    assert cli.main(["criteria", "--m", "4", "--g", "1.0", "--bs", "2.0"]) == 0
+    assert len(calls) == 1
+
+
+def test_criteria_point_at_zero_capacity_reports_infinite_w(capsys):
+    # The union bound sits at its cap (m-1)/m here, so C_m = 0: c_F is 0 and
+    # w and its Joule forms are +inf, where the library's icpe raises.
+    argv = ["criteria", "--ser", "union", "--m", "4", "--g", "0.1", "--bs", "2.0",
+            "--n0n", "1e-18"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",0.0,inf,inf,inf")
+    with pytest.raises(UndefinedCriterionError):
+        icpe(ChannelPoint(m=4, g=0.1, b_s=2.0), UnionBound())
 
 
 def test_criteria_json_output():
@@ -525,6 +551,32 @@ def test_public_surface_is_frozen():
         assert all(hasattr(module, name) for name in names), layer
     for layer, names in mchan._LAZY.items():
         assert set(names) <= PUBLIC_SURFACE[layer], layer
+
+
+def load_bench_tracing():
+    """``bench/tracing.py`` loaded by its file path (``bench`` is no package)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_TRACING = load_bench_tracing()
+
+
+@pytest.mark.parametrize("layer, modname, path", BENCH_TRACING.TRACED,
+                         ids=[path for _, _, path in BENCH_TRACING.TRACED])
+def test_benchmark_tracer_names_resolve(layer, modname, path):
+    # The benchmark's traced run wraps these names; one that no longer
+    # resolves where Tracer.install looks would break that run.
+    assert layer in BENCH_TRACING.LAYERS
+    module = importlib.import_module(modname)
+    owner, _, attr = path.rpartition(".")
+    if owner:
+        assert attr in vars(getattr(module, owner)), path  # the class's own __dict__
+    else:
+        assert callable(getattr(module, attr, None)), path
 
 
 @pytest.mark.parametrize("value, fmt, cell, native", [

@@ -12,7 +12,6 @@ import mchan.channel as channel
 from mchan.channel import (
     ChannelPoint,
     ExactCoherentOrthogonal,
-    UnionBound,
     capacity_bits_per_symbol,
 )
 from mchan.criteria import UndefinedCriterionError, icpe, icpe_of_esinr, icse
@@ -62,7 +61,7 @@ def test_minimum_matches_dense_h_scan():
 
 
 def test_reduced_and_grid2d_agree_unconstrained():
-    spec = ExtremumSpec(m_fixed=4, ser_model=UnionBound())
+    spec = ExtremumSpec(m_fixed=4)
     a = minimize_icpe(spec, method="reduced")
     b = minimize_icpe(spec, method="grid2d")
     assert b.value == pytest.approx(a.value, rel=1e-8)
@@ -87,7 +86,7 @@ def test_reduced_and_grid2d_agree_on_small_grids(m, g_lo, g_decades, g_points,
 
 
 def test_reduced_and_grid2d_agree_constrained():
-    spec = ExtremumSpec(m_fixed=4, ser_model=UnionBound(), c_f_min=1.0)
+    spec = ExtremumSpec(m_fixed=4, c_f_min=1.0)
     a = minimize_icpe(spec, method="reduced")
     b = minimize_icpe(spec, method="grid2d")
     assert b.value == pytest.approx(a.value, rel=1e-6)
@@ -422,7 +421,7 @@ def test_spec_validation():
 
 
 def test_search_is_deterministic():
-    spec = ExtremumSpec(m_fixed=4, ser_model=UnionBound())
+    spec = ExtremumSpec(m_fixed=4)
     a = minimize_icpe(spec)
     b = minimize_icpe(spec)
     assert a == b

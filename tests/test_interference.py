@@ -59,7 +59,7 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         SignalEnsemble.walsh(generate_msequence(3), rows=9)  # only 8 rows exist
     with pytest.raises(ValueError):
-        SignalEnsemble.cyclic_shifts(generate_msequence(3), [0, 7])  # 7 % 7 == 0
+        SignalEnsemble.cyclic_shifts(generate_msequence(3), 8)  # the period is 7
 
 
 def test_sync_error_model():
@@ -81,7 +81,7 @@ def test_perfect_sync_orthogonal_cell_is_exactly_zero():
 def test_perfect_sync_shift_cell_hits_exact_floor():
     # distinct shifts of one m-sequence correlate to exactly -1 at zero lag
     seq = generate_msequence(4)  # N = 15
-    ens = SignalEnsemble.cyclic_shifts(seq, [0, 3, 7, 11])
+    ens = SignalEnsemble.cyclic_shifts(seq, 4)  # shifts 0, 3, 7, 11
     est = intra_cell_interference(ens, SyncErrorModel(), trials=10, seed=0)
     # 3 interferers, each |R|/N/T = 1/(15*15)
     assert est.power == pytest.approx(3.0 / 225.0, rel=1e-15)
@@ -129,7 +129,7 @@ def test_estimator_path_matches_reference_correlation():
     from mchan.interference import _draw_errors, _ksq_for_block, _lag_corr
 
     seq = generate_msequence(4)
-    ens = SignalEnsemble.cyclic_shifts(seq, [0, 4, 9])
+    ens = SignalEnsemble.cyclic_shifts(seq, 3)
     errors = SyncErrorModel(timing_std_chips=0.3, phase_std_rad=0.2)
     z, y, u = _draw_errors(seed=5, trials=8, widths=[2])
     ref = ens.signals[0]
@@ -356,15 +356,13 @@ def test_surface_points_equal_the_public_estimates():
 
 
 def test_sweep_rows_equal_the_public_estimates():
-    errors = SyncErrorModel(timing_std_chips=0.2, phase_std_rad=0.3)
-    rows = degree_interference_sweep((4, 6), trials=120, seed=8, signals_per_cell=3,
-                                     errors=errors)
+    rows = degree_interference_sweep((4, 6), trials=120, seed=8, signals_per_cell=3)
     for (n, power, se), degree in zip(rows, (4, 6)):
         own, other = distinct_msequences(degree, 2)
         layout = CellLayout(
             reference=SignalEnsemble.cyclic_shifts(own, 3),
             interferers=(InterferingCell(SignalEnsemble.cyclic_shifts(other, 3, cell_id=1)),))
-        est = inter_cell_interference(layout, errors, 120, 8)
+        est = inter_cell_interference(layout, SyncErrorModel(), 120, 8)
         assert (n, power, se) == (degree, est.power, est.std_error)
 
 
