@@ -214,7 +214,7 @@ def _orthogonal_ser(ms: Sequence[int], h: np.ndarray, slope: bool = False):
     """
     if max(ms, default=2) > _RULE_MAX_M:
         raise ChannelDomainError(f"the exact SER rule is validated for m <= {_RULE_MAX_M}, "
-                                 f"got m={max(ms)}; use the union bound for larger ensembles")
+                                 f"got m={max(ms)}")
     nodes, weights, slope_weights = _gauss_legendre_rule()
     p = np.empty((len(ms), h.size))
     p_h = np.empty_like(p) if slope else None

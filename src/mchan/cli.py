@@ -294,11 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_criteria(args):
-    from mchan.channel import ChannelPoint, ExactCoherentOrthogonal, UnionBound
+    from mchan.channel import _RULE_MAX_M, ChannelPoint, ExactCoherentOrthogonal, UnionBound
     from mchan.criteria import (LinkBudget, NoiseSpec, _capacity_and_w, cell_radius, icce,
                                 icpe_joule_forms)
 
     model = ExactCoherentOrthogonal() if args.ser == "exact" else UnionBound()
+    m_max = max(args.m_list if args.sweep_bs is not None and args.m_list else (args.m or 2,))
+    if args.ser == "exact" and m_max > _RULE_MAX_M:  # the one command that can take this advice
+        raise UsageError(f"the exact SER rule is validated for m <= {_RULE_MAX_M}, "
+                         f"got m={m_max}; use --ser union for larger ensembles")
 
     if args.sweep_bs is not None:
         m_list = args.m_list if args.m_list else ((args.m,) if args.m else None)

@@ -1,29 +1,29 @@
 """Constrained extremum searches over the (g, B_s) plane.
 
 ICPE depends on (g, B_s) only through the energy SINR h = g * sqrt(B_s/2),
-so every search here reduces to one dimension: build the h-window induced
-by the axis ranges, scan it on a log-spaced grid, refine from the best
-grid point, then map the optimiser back to a concrete (g, B_s) pair.
-Every search and verifier runs on the exact SER model
-(:class:`~mchan.channel.ExactCoherentOrthogonal`, m <= 64); only
-``sweep_curves`` takes another.  Each scan grid is built in one place, and
-one SER table (``ser_table``) gives its p for every m: the m's of a
-search, of the grid2d mesh or of a curve family, and both passes of the
-near-infimum band search, share one kernel call on the grid.  C_m and w
-come from the one rule ``criteria._capacity_and_w``.
+so every search here runs in h: build the h-window induced by the axes (a
+fixed axis is the one-point range, which adds no grid points), scan it on
+a log-spaced grid, refine from the best grid point, then map the
+optimiser back to a concrete (g, B_s) pair.  Every search and verifier
+runs on the exact SER model (:class:`~mchan.channel.ExactCoherentOrthogonal`,
+m <= 64); only ``sweep_curves`` takes another.  One SER table
+(``ser_table``) gives p on a scan grid for every m: the m's of a search,
+of the grid2d mesh or of a curve family, and both passes of the
+near-infimum band search, share one kernel call.  C_m and w come from the
+one rule ``criteria._capacity_and_w``.
 
 Every refinement ends on one rule: a sign change of the objective's slope
 (an interior optimum) or of the constraint margin (a constraint edge),
-closed by one Illinois regula falsi to a bracket of a few ulps; or at a
-grid point where no direction descends, which is a window end or a kink
-of c_F.  The slope comes from dp/dh, which the SER kernel integrates on
-its own nodes (one kernel call per probe).  The flags are that rule's
-outcome, not tolerances: ``attained`` is false only at a window end whose
-slope points out of the window (for m = 2 the power criterion has no
-interior minimum and its infimum pi * ln 2 is only approached as h -> 0),
-and a constraint is active only on its own margin root.  A direct
-two-dimensional grid search is kept as a cross-check
-(``method="grid2d"``); the two routes must agree.
+each closed on its own by one Illinois regula falsi to a bracket of a few
+ulps; or at a grid point where no direction descends, which is a window
+end or a kink of c_F.  The slope comes from dp/dh, which the SER kernel
+integrates on its own nodes (one kernel call per probe).  The flags are
+that rule's outcome, not tolerances: ``attained`` is false only at a
+window end whose slope points out of the window (for m = 2 the power
+criterion has no interior minimum and its infimum pi * ln 2 is only
+approached as h -> 0), and a constraint is active only on its own margin
+root.  A direct search (``method="grid2d"``), a (g, B_s) mesh plus two
+reduced line searches from its best cell, is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -202,29 +202,29 @@ _UNCONSTRAINED: Constraints = (False, None, None)
 
 def _minimise(probe: Probe, grid: list[float], outs: list[Outputs]
               ) -> tuple[float, Outputs, int, str]:
-    """Refine the objective on an ascending scan ``grid`` to its minimum.
+    """Refine the objective on an ascending scan ``grid`` in h to its minimum.
 
     ``outs`` are :func:`_feasibility`'s outputs at each grid point: the
-    objective (+inf where x is infeasible), the constraint margin
+    objective (+inf where h is infeasible), the constraint margin
     (feasible iff >= 0), C_m and w.  The caller computes them, so grids of
-    several m or passes can share their kernel work.  ``probe(x)``
-    returns those outputs at one x with the objective's slope in log x
-    from the left and from the right of x (they differ only at a kink,
+    several m or passes can share their kernel work.  ``probe(h)``
+    returns those outputs at one h with the objective's slope in log h
+    from the left and from the right of h (they differ only at a kink,
     which the caller puts on the grid, so each grid interval is smooth).
 
     From the best grid point the search follows the slope's descent to the
-    next grid point.  If the descent or the margin changes sign there, an
-    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) closes the
-    first sign change of min(descent, margin) to a bracket of _BRACKET in
-    log x, or an exact zero, and its feasible end is the optimum: a slope
-    root or a constraint edge ("margin").  If neither changes sign, the
-    walk goes on to that grid point (a tie of rounding).  It ends without
-    a root at a grid point where no direction descends: a window end whose
-    slope points out of the window ("end") or a kink.  Returns
-    ``(x, outputs at x, evaluations, how it ended)``, where every ending
-    but "end" and "margin" is "optimum"; every reported point has
-    margin >= 0.  If no grid point is feasible the grid point with the
-    largest margin is returned ("infeasible").
+    next grid point.  If the descent changes sign there, :func:`_close`
+    closes the slope root; if the margin is negative at that root, or if
+    only the margin changed sign, it closes the margin's root before it.
+    Its feasible end is the optimum: a slope root or a constraint edge
+    ("margin").  If neither changes sign, the walk goes on to that grid
+    point (a tie of rounding).  It ends without a root at a grid point
+    where no direction descends: a window end whose slope points out of
+    the window ("end") or a kink.  Returns ``(h, outputs at h,
+    evaluations, how it ended)``, where every ending but "end" and
+    "margin" is "optimum"; every reported point has margin >= 0.  If no
+    grid point is feasible the grid point with the largest margin is
+    returned ("infeasible").
     """
     n, evals = len(grid), len(grid)
     i = min(range(n), key=lambda j: outs[j][0])  # the first of equal minima
@@ -247,106 +247,103 @@ def _minimise(probe: Probe, grid: list[float], outs: list[Outputs]
         j = i + step
         out_j, left_j, right_j = probe(grid[j])
         evals += 1
-        value_j = min(-step * (left_j if step > 0 else right_j), out_j[1])
-        if value_j < 0.0:
+        descent_j = -step * (left_j if step > 0 else right_j)
+        if min(descent_j, out_j[1]) < 0.0:
             break
         i, out, left, right = j, out_j, left_j, right_j
 
-    # Illinois on min(descent, margin) in log x: (t_in, f_in) >= 0 > (t_out, f_out).
-    t_in, x_in, f_in, out_in = math.log(grid[i]), grid[i], min(descent, out[1]), out
-    t_out, f_out, out_out = math.log(grid[j]), value_j, out_j
-    zero = f_in == 0.0
-    kept = 0  # +1: the in-end was kept last, -1: the out-end
-    for _ in range(_MAX_REFINE_ITER):
+    # Each bracket closes one smooth function, so the two scales never mix.
+    outer = (grid[j], out_j[1], out_j)
+    if descent_j < 0.0:
+        h, o, k = _close(lambda o, s: -step * s, probe, (grid[i], descent, out),
+                         (grid[j], descent_j, out_j))
+        evals += k
+        if o[1] >= 0.0:
+            return h, o, evals, "optimum"
+        outer = (h, o[1], o)
+    h, o, k = _close(lambda o, s: o[1], probe, (grid[i], out[1], out), outer)
+    return h, o, evals + k, "margin"
+
+
+End = tuple[float, float, Outputs]  # a bracket end: h, f at h, outputs at h
+
+
+def _close(f: Callable[[Outputs, float], float], probe: Probe, inner: End, outer: End
+           ) -> tuple[float, Outputs, int]:
+    """The root of ``f(outputs, slope)`` between ``inner`` (f >= 0) and ``outer`` (f < 0).
+
+    An Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) in log h
+    narrows the bracket to _BRACKET, or to an exact zero, and returns its
+    end with f >= 0 (h and its outputs) and the probes it took.  It raises
+    ArithmeticError rather than take more than _MAX_REFINE_ITER probes.
+    """
+    (h_in, f_in, out_in), (h_out, f_out, _) = inner, outer
+    t_in, t_out = math.log(h_in), math.log(h_out)
+    kept = 0  # +1: the inner end was kept last, -1: the outer end
+    for evals in range(_MAX_REFINE_ITER + 1):
         t = 0.5 * (t_in + t_out)
-        if zero or abs(t_out - t_in) <= _BRACKET or t in (t_in, t_out):
-            break
+        if f_in == 0.0 or abs(t_out - t_in) <= _BRACKET or t in (t_in, t_out):
+            return h_in, out_in, evals
+        if evals == _MAX_REFINE_ITER:
+            raise ArithmeticError(f"refinement did not close a bracket in {evals} probes")
         if math.isfinite(f_in) and math.isfinite(f_out):
             t_rf = t_in + (t_out - t_in) * f_in / (f_in - f_out)
             if min(t_in, t_out) < t_rf < max(t_in, t_out):
                 t = t_rf
-        x = math.exp(t)
-        o, s, _ = probe(x)  # inside a grid interval both slopes agree
-        evals += 1
-        f = min(-step * s, o[1])
-        if f >= 0.0:
-            t_in, x_in, f_in, out_in, zero = t, x, f, o, f == 0.0
+        h = math.exp(t)
+        o, s, _ = probe(h)  # inside a grid interval both slopes agree
+        v = f(o, s)
+        if v >= 0.0:
+            t_in, f_in, h_in, out_in = t, v, h, o
             if kept < 0:
                 f_out *= 0.5
             kept = -1
         else:
-            t_out, f_out, out_out = t, f, o
+            t_out, f_out = t, v
             if kept > 0:
                 f_in *= 0.5
             kept = 1
-    on_margin = out_in[1] == 0.0 if zero else out_out[1] < 0.0
-    return x_in, out_in, evals, "margin" if on_margin else "optimum"
-
-
-def _scan(m: int, to_point: Callable[[float], tuple[float, float | None]],
-          lo: float, hi: float, points: int, dlogh: float, db: float,
-          constraints: Constraints) -> tuple[float, Outputs, int, str]:
-    """:func:`_minimise` in x over the log grid of [lo, hi], with one SER call on the grid.
-
-    ``to_point(x)`` is the (h, b_s) that x stands for, with
-    d log h / d log x = ``dlogh`` and d log b_s / d log x = ``db``.
-    """
-    grid = _log_grid(lo, hi, points)
-    points_hb = [to_point(x) for x in grid]
-    p = _EXACT.ser(m, np.array([h for h, _ in points_hb])).tolist()
-    outs = [_feasibility(*_capacity_and_w(m, h, q), b_s, constraints)
-            for (h, b_s), q in zip(points_hb, p)]
-    return _minimise(lambda x: _probe(m, *to_point(x), dlogh, (db, db), constraints),
-                     grid, outs)
 
 
 # ---------------------------------------------------------------------------
 # the h-reduction of a search region
 
 
-def _kink(spec: ExtremumSpec) -> float:
+# The g axis, then the B_s axis, each (lo, hi, points); a fixed axis is (x, x, 1).
+Axes = tuple[tuple[float, float, int], tuple[float, float, int]]
+
+
+def _axes(spec: ExtremumSpec) -> Axes:
+    """The (g, B_s) axes of a search region; a fixed axis is the one-point range."""
+    return tuple((r.lo, r.hi, r.points) if x is None else (x, x, 1)
+                 for x, r in ((spec.g_fixed, spec.g_range), (spec.b_s_fixed, spec.b_s_range)))
+
+
+def _kink(axes: Axes) -> float:
     """h where the smallest compatible base switches from b_s_lo to 2 (h/g_hi)**2."""
-    return spec.g_range.hi * math.sqrt(spec.b_s_range.lo / 2.0)
+    (_, g_hi, _), (b_lo, _, _) = axes
+    return g_hi * math.sqrt(b_lo / 2.0)
 
 
-def _b_s_compat(spec: ExtremumSpec, h: float) -> tuple[float, float]:
-    """Interval of bases compatible with h under the axis ranges."""
-    if spec.b_s_fixed is not None:
-        return spec.b_s_fixed, spec.b_s_fixed
-    if spec.g_fixed is not None:
-        b = 2.0 * (h / spec.g_fixed) ** 2
-        return b, b
-    b_lo, b_hi = spec.b_s_range.lo, spec.b_s_range.hi
+def _b_s_compat(axes: Axes, h: float) -> tuple[float, float]:
+    """Interval of bases compatible with h under the axes."""
+    (g_lo, g_hi, _), (b_lo, b_hi, _) = axes
     # The lower bound is b_s_lo itself up to and at the kink.
-    lo = max(b_lo, 2.0 * (h / spec.g_range.hi) ** 2) if h > _kink(spec) else b_lo
-    hi = min(b_hi, 2.0 * (h / spec.g_range.lo) ** 2)
+    lo = max(b_lo, 2.0 * (h / g_hi) ** 2) if h > _kink(axes) else b_lo
+    hi = min(b_hi, 2.0 * (h / g_lo) ** 2)
     # max also absorbs float fuzz at the window corners (hi < lo).
     return lo, max(hi, lo)
 
 
-def _base_slope(spec: ExtremumSpec, h: float) -> tuple[float, float]:
+def _base_slope(axes: Axes, h: float) -> tuple[float, float]:
     """d log b_s / d log h of ``_b_s_compat``'s lower bound, left and right of h."""
-    if spec.b_s_fixed is not None:
-        return 0.0, 0.0
-    if spec.g_fixed is not None:
-        return 2.0, 2.0
-    h_k = _kink(spec)
+    h_k = _kink(axes)
     return (2.0 if h > h_k else 0.0), (2.0 if h >= h_k else 0.0)
 
 
-def _h_window(spec: ExtremumSpec) -> tuple[float, float]:
-    g_fix, b_fix = spec.g_fixed, spec.b_s_fixed
-    if g_fix is not None and b_fix is not None:
-        h = g_fix * math.sqrt(b_fix / 2.0)
-        return h, h
-    if b_fix is not None:
-        s = math.sqrt(b_fix / 2.0)
-        return spec.g_range.lo * s, spec.g_range.hi * s
-    if g_fix is not None:
-        return (g_fix * math.sqrt(spec.b_s_range.lo / 2.0),
-                g_fix * math.sqrt(spec.b_s_range.hi / 2.0))
-    return (spec.g_range.lo * math.sqrt(spec.b_s_range.lo / 2.0),
-            spec.g_range.hi * math.sqrt(spec.b_s_range.hi / 2.0))
+def _h_window(axes: Axes) -> tuple[float, float]:
+    (g_lo, g_hi, _), (b_lo, b_hi, _) = axes
+    return g_lo * math.sqrt(b_lo / 2.0), g_hi * math.sqrt(b_hi / 2.0)
 
 
 def _feasibility(c: float, w: float, b_s: float | None, constraints: Constraints) -> Outputs:
@@ -368,16 +365,15 @@ def _feasibility(c: float, w: float, b_s: float | None, constraints: Constraints
     return (-(2.0 * c / b_s) if maximise else w), margin, c, w
 
 
-def _probe(m: int, h: float, b_s: float | None, dlogh: float,
-           db: tuple[float, float], constraints: Constraints) -> tuple[Outputs, float, float]:
+def _probe(m: int, h: float, b_s: float | None, db: tuple[float, float],
+           constraints: Constraints) -> tuple[Outputs, float, float]:
     """:func:`_feasibility`'s outputs at one h, and the objective's slopes, from one kernel call.
 
-    The slope is d log|objective| / d log x, which has the sign of
-    d objective / d log x, for the scan coordinate x with
-    d log h / d log x = ``dlogh`` and d log b_s / d log x = ``db`` (left
-    and right of x).  With e = h C_p p_h / C, the elasticity of C_m in h
-    (C_p = dC/dp, p_h = dp/dh), it is (2 - e) dlogh for w = h**2 / C, and
-    db - e dlogh for -c_F = -2 C / b_s.  h lies in a window whose grid the
+    The slope is d log|objective| / d log h, which has the sign of
+    d objective / d log h, where d log b_s / d log h = ``db`` (left and
+    right of h).  With e = h C_p p_h / C, the elasticity of C_m in h
+    (C_p = dC/dp, p_h = dp/dh), it is 2 - e for w = h**2 / C, and
+    db - e for -c_F = -2 C / b_s.  h lies in a window whose grid the
     kernel has checked.
     """
     p, p_h = _EXACT._ser_slope(m, h)
@@ -391,11 +387,11 @@ def _probe(m: int, h: float, b_s: float | None, dlogh: float,
         c_p = math.log2(p) - math.log2(m - 1) - math.log1p(-p) / _LOG2
         e = h * c_p * p_h / c
     if constraints[0]:  # maximising c_F
-        return out, db[0] - e * dlogh, db[1] - e * dlogh
-    return out, (2.0 - e) * dlogh, (2.0 - e) * dlogh
+        return out, db[0] - e, db[1] - e
+    return out, 2.0 - e, 2.0 - e
 
 
-def _map_back(spec: ExtremumSpec, h: float, prefer_min_base: bool) -> tuple[float, float]:
+def _map_back(axes: Axes, h: float, prefer_min_base: bool) -> tuple[float, float]:
     """Choose a concrete (g, B_s) decomposition of h.
 
     With an ICSE floor in force the base is pinned to the smallest
@@ -403,14 +399,11 @@ def _map_back(spec: ExtremumSpec, h: float, prefer_min_base: bool) -> tuple[floa
     feasibility); otherwise the decomposition closest to the geometric
     centre of the g-range is reported.
     """
-    b_lo, b_hi = _b_s_compat(spec, h)
-    if prefer_min_base or b_lo == b_hi:
-        b_s = b_lo
-    else:
-        g_mid = math.sqrt(spec.g_range.lo * spec.g_range.hi)
-        b_s = min(max(2.0 * (h / g_mid) ** 2, b_lo), b_hi)
-    g = spec.g_fixed if spec.g_fixed is not None else h / math.sqrt(b_s / 2.0)
-    return g, b_s
+    (g_lo, g_hi, _), _ = axes
+    b_lo, b_hi = _b_s_compat(axes, h)
+    b_mid = 2.0 * (h / math.sqrt(g_lo * g_hi)) ** 2  # at the g-range's geometric centre
+    b_s = b_lo if prefer_min_base else min(max(b_mid, b_lo), b_hi)
+    return (g_lo if g_lo == g_hi else h / math.sqrt(b_s / 2.0)), b_s  # a fixed g exactly
 
 
 def _result(spec: ExtremumSpec, maximise: bool, m: int, g: float, b_s: float, h: float,
@@ -451,17 +444,16 @@ def _certificate(m: int, h: float, g: float, b_s: float, out: Outputs) -> dict:
 
 
 def _solve_reduced(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
-    h_lo, h_hi = _h_window(spec)
-    grid = _log_grid(h_lo, h_hi, max(spec.g_range.points, spec.b_s_range.points))
+    axes = _axes(spec)
+    grid = _log_grid(*_h_window(axes), max(points for _, _, points in axes))
     uses_c_f = maximise or spec.c_f_min is not None  # c_F = 2 C / b_s, at the smallest b_s
 
     def base(h: float) -> float | None:
-        return _b_s_compat(spec, h)[0] if uses_c_f else None
+        return _b_s_compat(axes, h)[0] if uses_c_f else None
 
-    if (uses_c_f and spec.g_fixed is None and spec.b_s_fixed is None
-            and _kink(spec) not in grid):
+    if uses_c_f and _kink(axes) not in grid:
         # c_F has a kink there, so as a grid point it ends two smooth intervals.
-        bisect.insort(grid, _kink(spec))
+        bisect.insort(grid, _kink(axes))
     per_m: list[ExtremumResult] = []
     near_misses: list[dict] = []
     total_evals = 0
@@ -473,7 +465,7 @@ def _solve_reduced(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
             # h* lies in the band by construction, so it seeds the band
             # search, which reuses this pass's grid C_m.
             h_seed, seed, evals, _ = _minimise(
-                lambda h: _probe(m, h, None, 1.0, (0.0, 0.0), _UNCONSTRAINED), grid,
+                lambda h: _probe(m, h, None, (0.0, 0.0), _UNCONSTRAINED), grid,
                 [_feasibility(c, w, None, _UNCONSTRAINED) for c, w in cw])
             total_evals += evals
             w_inf = seed[0]
@@ -487,18 +479,18 @@ def _solve_reduced(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
         constraints = (maximise, spec.c_f_min, w_cap)
 
         def probe(h: float, m: int = m, constraints: Constraints = constraints):
-            return _probe(m, h, base(h), 1.0, _base_slope(spec, h), constraints)
+            return _probe(m, h, base(h), _base_slope(axes, h), constraints)
 
         outs = [_feasibility(c, w, base(h), constraints) for h, (c, w) in zip(m_grid, cw)]
         h, out, evals, how = _minimise(probe, m_grid, outs)
         total_evals += evals
         if how == "infeasible":
             # The nearest-feasible point of the scan grid, as a certificate.
-            g, b_s = _map_back(spec, h, prefer_min_base=True)
+            g, b_s = _map_back(axes, h, prefer_min_base=True)
             near_misses.append(_certificate(m, h, g, b_s, out))
             continue
 
-        g, b_s = _map_back(spec, h, prefer_min_base=spec.c_f_min is not None or maximise)
+        g, b_s = _map_back(axes, h, prefer_min_base=spec.c_f_min is not None or maximise)
         per_m.append(_result(spec, maximise, m, g, b_s, h, out, w_cap, evals, how, band_note))
 
     if not per_m:
@@ -518,13 +510,12 @@ def _solve_reduced(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
 
 
 def _solve_grid2d(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
-    """Direct search on the (g, B_s) grid; cross-check for the reduction."""
+    """A (g, B_s) mesh, then line searches from its best cell: the reduction's cross-check."""
     if spec.icpe_band_eps is not None:
         raise ValueError("the near-infimum band (icpe_band_eps) needs method='reduced'")
     constraints: Constraints = (maximise, spec.c_f_min, spec.w_cap)
-    g_grid = [spec.g_fixed] if spec.g_fixed is not None else spec.g_range.log_grid()
-    b_grid = [spec.b_s_fixed] if spec.b_s_fixed is not None else spec.b_s_range.log_grid()
-    mesh = [(g, b_s) for g in g_grid for b_s in b_grid]
+    g_axis, b_axis = _axes(spec)
+    mesh = [(g, b_s) for g in _log_grid(*g_axis) for b_s in _log_grid(*b_axis)]
     h_mesh = [g * math.sqrt(b_s / 2.0) for g, b_s in mesh]
 
     best = near = None
@@ -554,26 +545,23 @@ def _solve_grid2d(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
             key=lambda k: abs(math.log(mesh[k][0] / g_mid)))
     (g, b_s), out = mesh[k], outs[k]
 
-    # Coordinate refinement: in g at fixed B_s, then in B_s at fixed g.
-    # The objective depends on h only, so one pass suffices.
-    hows = []
+    # Line searches in h: in g at fixed B_s, then in B_s at fixed g.  The
+    # objective depends on h only, so one pass suffices.
+    lines = []
     if spec.g_fixed is None:
-        r = spec.g_range
-        g, out, n, how = _scan(m, lambda x: (x * math.sqrt(b_s / 2.0), b_s),
-                               r.lo, r.hi, r.points, 1.0, 0.0, constraints)
-        evals += n
-        hows.append(how)
+        lines.append(_solve_reduced(replace(spec, m_fixed=m, b_s_fixed=b_s), maximise))
+        g = lines[-1].g
     if spec.b_s_fixed is None:
-        r = spec.b_s_range
-        b_s, out, n, how = _scan(m, lambda x: (g * math.sqrt(x / 2.0), x),
-                                 r.lo, r.hi, r.points, 0.5, 1.0, constraints)
-        evals += n
-        hows.append(how)
-    # At a window end of h only if every scan ended on an end of its range;
-    # with both axes fixed h is the one point of its window, so attained.
-    how = next((x for x in reversed(hows) if x != "end"), "end" if hows else "optimum")
-    return _result(spec, maximise, m, g, b_s, g * math.sqrt(b_s / 2.0), out, spec.w_cap,
-                   evals, how, "direct 2-D search")
+        lines.append(_solve_reduced(replace(spec, m_fixed=m, g_fixed=g), maximise))
+    if not lines:  # g and B_s fixed: h is the one point of its window, so attained
+        return _result(spec, maximise, m, g, b_s, g * math.sqrt(b_s / 2.0), out, spec.w_cap,
+                       evals, "optimum", "direct 2-D search")
+    # At a window end of h only if every line ended on an end of its window;
+    # the constraint flags are those of the last line that did not.
+    flags = next((r for r in reversed(lines) if r.attained), lines[-1])
+    return replace(lines[-1], attained=flags.attained, constraint_active=flags.constraint_active,
+                   evaluations=evals + sum(r.evaluations for r in lines),
+                   note="direct 2-D search")
 
 
 _METHODS = {"reduced": _solve_reduced, "grid2d": _solve_grid2d}
@@ -649,10 +637,8 @@ def verify_statement1(
 
     rows = []
     for b_s in b_s_grid.log_grid():
-        s = math.sqrt(b_s / 2.0)
-        h, (w_min, *_), _, how = _scan(m, lambda x: (x, None), g_range.lo * s,
-                                       g_range.hi * s, g_range.points, 1.0, 0.0, _UNCONSTRAINED)
-        rows.append(FlatnessRow(b_s=b_s, h_min=h, w_min=w_min, attained=how != "end"))
+        r = _solve_reduced(ExtremumSpec(m_fixed=m, b_s_fixed=b_s, g_range=g_range), False)
+        rows.append(FlatnessRow(b_s=b_s, h_min=r.h, w_min=r.value, attained=r.attained))
     w_values = [r.w_min for r in rows]
     w_low, w_high = min(w_values), max(w_values)
     spread = (w_high - w_low) / w_low
@@ -713,10 +699,10 @@ def verify_statement3(
         raise ValueError("need at least two g values")
     if any(b <= a for a, b in zip(g_sorted, g_sorted[1:])):
         raise ValueError("g values must be strictly increasing")
-    h_lo, h_hi = h_window
-    GridRange(h_lo, h_hi)  # refuses an empty or reversed window
-    h_star, (w_inf, *_), _, how = _scan(m, lambda x: (x, None), h_lo, h_hi,
-                                        _STATEMENT3_POINTS, 1.0, 0.0, _UNCONSTRAINED)
+    # At B_s = 2, h = g exactly; GridRange refuses an empty or reversed window.
+    res = _solve_reduced(ExtremumSpec(m_fixed=m, b_s_fixed=2.0,
+                                      g_range=GridRange(*h_window, _STATEMENT3_POINTS)), False)
+    h_star = res.h
 
     rows = []
     for g in g_sorted:
@@ -729,8 +715,8 @@ def verify_statement3(
     return MonotonicityReport(
         m=m,
         h_star=h_star,
-        w_inf=w_inf,
-        attained=how != "end",
+        w_inf=res.value,
+        attained=res.attained,
         rows=tuple(rows),
         strictly_decreasing=decreasing,
         product_spread_rel=spread,

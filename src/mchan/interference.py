@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mchan.msequence import MSequence
+from mchan.msequence import MSequence, _lag_corr
 
 __all__ = [
     "CellLayout",
@@ -307,22 +307,6 @@ def _draw_once(seed: int, trials: int):
             cache[key] = _draw_errors(seed, trials, list(key))
         return cache[key]
     return draw
-
-
-def _lag_corr(ref: np.ndarray, signals: np.ndarray) -> np.ndarray:
-    """All-lag cyclic correlations, out[j, d] = sum_k ref[k] signals[j, (k+d) % L].
-
-    Chips are +/-1, so every entry is an integer of magnitude <= L; the
-    FFT product is rounded back to it, which makes the table exact.
-    Rows are transformed one signal at a time to keep peak memory flat
-    at long periods.
-    """
-    L = ref.size
-    fr = np.conj(np.fft.rfft(ref.astype(np.float64)))
-    out = np.empty((signals.shape[0], L))
-    for j, sig in enumerate(signals):
-        out[j] = np.rint(np.fft.irfft(fr * np.fft.rfft(sig.astype(np.float64)), L))
-    return out
 
 
 def _check_trials(trials: int) -> None:

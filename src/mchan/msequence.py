@@ -213,16 +213,27 @@ def generate_msequence(n: int, taps: tuple[int, ...] | None = None) -> MSequence
 def periodic_autocorrelation(chips: np.ndarray) -> np.ndarray:
     """Unnormalised periodic autocorrelation R[k] = sum_j c[j] c[(j+k) mod N].
 
-    Computed with an FFT and rounded back to integers; for +/-1 chips the
-    rounding is exact for every period this package produces (the FFT
-    error stays far below 0.5 up to n = 24).
+    It is ``_lag_corr`` of the chips with themselves.
     """
     c = np.asarray(chips, dtype=np.float64)
     if c.ndim != 1 or c.size < 2:
         raise ValueError("chips must be a 1-D array of length >= 2")
-    f = np.fft.rfft(c)
-    r = np.fft.irfft(f * np.conj(f), c.size)
-    return np.rint(r).astype(np.int64)
+    return _lag_corr(c, c[None])[0].astype(np.int64)
+
+
+def _lag_corr(ref: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """All-lag cyclic correlations, out[j, d] = sum_k ref[k] signals[j, (k+d) % L].
+
+    Chips are +/-1, so every entry is an integer; the FFT product is
+    rounded back to it, exactly up to n = 24 (the FFT error stays far
+    below 0.5).  One signal at a time keeps peak memory flat.
+    """
+    L = ref.size
+    fr = np.conj(np.fft.rfft(ref.astype(np.float64)))
+    out = np.empty((signals.shape[0], L))
+    for j, sig in enumerate(signals):
+        out[j] = np.rint(np.fft.irfft(fr * np.fft.rfft(sig.astype(np.float64)), L))
+    return out
 
 
 def _decimate(seq: MSequence, q: int) -> MSequence:

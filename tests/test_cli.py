@@ -139,7 +139,13 @@ def test_exact_ser_bound_exits_2(capsys):
     assert "validated for m <= 64" in capsys.readouterr().err
     assert cli.main(["criteria", "--m", "1024", *point]) == 2
     assert cli.main(["criteria", "--m", "1024", *point, "--ser", "union"]) == 0
+    capsys.readouterr()
+    # The union-bound advice is given only where it can be followed.
+    assert cli.main(["criteria", "--m-list", "4,128", "--g", "1", "--sweep-bs", "1:2:2"]) == 2
+    assert "use --ser union" in capsys.readouterr().err
     assert cli.main(["optimize", "--m", "65"]) == 2
+    err = capsys.readouterr().err
+    assert "validated for m <= 64" in err and "union" not in err
 
 
 # Frozen stderr of each infeasible search: the certificate helper that both
@@ -174,9 +180,11 @@ def test_optimize_grid2d_output_is_frozen():
     # index j), so about 20 mesh cells share the best h up to rounding.
     # Among the cells within 4 ulp of the best w the search refines from
     # the one whose g is nearest the g-range's geometric centre, so the
-    # last bits of p no longer pick the printed (g, B_s).  Both coordinate
-    # scans end on a root of the slope, so h holds to ~2e-15 (reference
-    # h* = 1.1693372642256438).
+    # last bits of p no longer pick the printed (g, B_s).  Both line
+    # searches (in g at that cell's B_s, then in B_s at the g found) run on
+    # log grids in h and end on a root of the slope, so h holds to ~2e-15
+    # (reference h* = 1.1693372642256438).  Scanning h rather than g and
+    # B_s themselves sets the last 1-2 digits of g, B_s and h.
     proc = run_cli("optimize", "--m", "8", "--method", "grid2d")
     assert proc.returncode == 0
     assert proc.stdout == (
@@ -192,12 +200,32 @@ def test_optimize_grid2d_output_is_frozen():
         "# param method=grid2d\n"
         "# param objective=min-icpe\n"
         "# param seed=0\n"
-        "# result evaluations=4238\n"
+        "# result evaluations=4239\n"
         "# result note=direct 2-D search\n"
         "objective,m,g,b_s,h,value,c_f,w,attained\n"
-        "min_icpe,8,0.30224529545729784,29.935772947204942,1.1693372642256459,"
-        "1.4854346175278677,0.06149864662377538,1.4854346175278677,true\n"
+        "min_icpe,8,0.3022452954572978,29.935772947204946,1.1693372642256457,"
+        "1.485434617527867,0.06149864662377537,1.485434617527867,true\n"
     )
+
+
+def test_fixed_axis_adds_no_grid_points(capsys):
+    # A fixed axis is the one-point range, so the ignored range of B_s
+    # does not set the size of the scan grid: 16 points, 28 evaluations.
+    argv = ["optimize", "--m", "8", "--bs", "5.0", "--g-range", "0.01:10:16"]
+    outputs = []
+    for extra in ([], ["--bs-range", "0.1:1000:100"]):
+        assert cli.main([*argv, *extra]) == 0
+        outputs.append([l for l in capsys.readouterr().out.splitlines()
+                        if not l.startswith("# param bs_range=")])
+    assert outputs[0] == outputs[1]
+    assert "# result evaluations=28" in outputs[0]
+
+
+def test_refinement_cap_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr("mchan.extremum._MAX_REFINE_ITER", 3)
+    assert cli.main(["optimize", "--m", "8"]) == 4
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: refinement did not close a bracket in 3 probes")
 
 
 @pytest.mark.parametrize("argv, row", [

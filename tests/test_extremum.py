@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mchan.channel as channel
+import mchan.extremum as extremum
 from mchan.channel import (
     ChannelPoint,
     ExactCoherentOrthogonal,
@@ -98,7 +99,7 @@ def test_reduced_and_grid2d_agree_constrained():
 @pytest.mark.parametrize("search", [minimize_icpe, maximize_icse])
 def test_reduced_and_grid2d_agree_with_g_and_base_fixed(search):
     # Only m is free: each m's window is the one point h = g sqrt(B_s/2),
-    # which is attained, and grid2d runs no coordinate scan.
+    # which is attained, and grid2d runs no line search.
     spec = ExtremumSpec(g_fixed=1.0, b_s_fixed=2.0, m_set=(2, 4, 8))
     a = search(spec, method="reduced")
     b = search(spec, method="grid2d")
@@ -219,6 +220,9 @@ def test_one_grid_kernel_call_per_search(monkeypatch):
     grid_calls.clear()
     minimize_icpe(ExtremumSpec(g_fixed=1.0, m_set=(4, 16)))
     assert grid_calls == [(4, 16)]
+    grid_calls.clear()
+    verify_statement1(4, b_s_grid=GridRange(0.5, 50.0, 4))  # one search per base
+    assert grid_calls == [(4,)] * 4
 
 
 @settings(deadline=None, max_examples=25)
@@ -249,6 +253,11 @@ def test_constraints_met_on_the_scan_grid_are_met_exactly(m, k, maximise, floor,
 # At fixed g, c_F = C g**2 / h**2 peaks at the root of dw/dh.
 @example(m=8, maximise=True, fixed="g", constraint=None, g_lo=0.1, g_decades=2.0, b_lo=0.1,
          b_decades=3.0, points=8, k=0, factor=0.5)
+# On the capacity plateau: see test_capacity_plateau_closes_the_margin_alone.
+@example(m=8, maximise=True, fixed=None, constraint="w_cap", g_lo=0.8125, g_decades=2.0,
+         b_lo=8.0, b_decades=2.75, points=9, k=1, factor=0.3046875)
+@example(m=2, maximise=True, fixed=None, constraint="w_cap", g_lo=1.0, g_decades=2.0,
+         b_lo=0.25, b_decades=0.5, points=3, k=1, factor=0.3125)
 def test_search_ends_on_a_first_order_certificate(m, maximise, fixed, constraint, g_lo,
                                                   g_decades, b_lo, b_decades, points, k, factor):
     # The reported h is a slope root, a margin root, a kink, or a window end
@@ -299,6 +308,34 @@ def test_search_ends_on_a_first_order_certificate(m, maximise, fixed, constraint
         assert res.h in (h_lo, h_hi)
     if any(res.constraint_active.values()):
         assert any(infeasible_sides)
+
+
+@pytest.mark.parametrize("m, g_lo, g_decades, b_lo, b_decades, points, factor", [
+    (8, 0.8125, 2.0, 8.0, 2.75, 9, 0.3046875),
+    (2, 1.0, 2.0, 0.25, 0.5, 3, 0.3125),
+])
+def test_capacity_plateau_closes_the_margin_alone(m, g_lo, g_decades, b_lo, b_decades, points,
+                                                  factor):
+    # C_m is log2 m to ~1e-12 here, so c_F's slope is ~1e-11 where the
+    # w_cap margin is ~-20.  A bracket on min(slope, margin) mixes those
+    # scales and stalls short of the margin's root; only the margin
+    # changes sign, so it alone is closed, in a few probes.
+    g = GridRange(g_lo, g_lo * 10.0 ** g_decades, points)
+    b = GridRange(b_lo, b_lo * 10.0 ** b_decades, points)
+    h = GridRange(g.lo * math.sqrt(b.lo / 2.0), g.hi * math.sqrt(b.hi / 2.0), points).log_grid()[1]
+    w_cap = h * h / capacity_bits_per_symbol(m, EXACT.ser(m, h)) / factor
+    res = maximize_icse(ExtremumSpec(m_fixed=m, g_range=g, b_s_range=b, w_cap=w_cap))
+    assert res.evaluations <= 40  # 25 and 28
+    assert res.constraint_active["w_cap"]
+    assert 0.0 <= res.constraint_slack["w_cap"] <= 1e-12 * w_cap
+
+
+def test_refinement_cap_raises(monkeypatch):
+    # A bracket that does not close within the cap is a numerical failure,
+    # never an ending.
+    monkeypatch.setattr(extremum, "_MAX_REFINE_ITER", 3)
+    with pytest.raises(ArithmeticError, match="did not close a bracket in 3 probes"):
+        minimize_icpe(ExtremumSpec(m_fixed=8))
 
 
 def test_explicit_power_cap_binds():
