@@ -124,38 +124,29 @@ class ChannelPoint:
 
 
 class SerModel:
-    """Symbol-error-rate model interface: ``ser(m, h)`` and ``ser_table(ms, h)``.
+    """Symbol-error-rate model interface.
 
-    ``h`` is a float or an ndarray of energy SINRs; the result of ``ser``
-    has the same type (and shape), so a grid of h costs one call.
+    ``ser(m, h)`` is p at one energy SINR h (a float), as a float;
+    ``ser_table(ms, h)`` is p for every m of ``ms`` (rows) at every h of a
+    1-D array (columns), each entry equal to ``ser`` at its (m, h) bit for bit.
     """
 
-    def ser(self, m: int, h: float | np.ndarray) -> float | np.ndarray:
+    def ser(self, m: int, h: float) -> float:
         raise NotImplementedError
 
     def ser_table(self, ms: Sequence[int], h: np.ndarray) -> np.ndarray:
-        """p for every m of ``ms`` (rows) at every h of a 1-D array (columns).
-
-        Row i equals ``ser(ms[i], h)`` bit for bit.
-        """
-        return np.array([self.ser(m, h) for m in ms]).reshape(len(ms), h.size)
+        raise NotImplementedError
 
 
-def _check_m(m: int) -> None:
-    if not isinstance(m, int) or m < 2:
-        raise ChannelDomainError(f"ensemble size m must be an integer >= 2, got {m!r}")
-
-
-def _check_h(h: float | np.ndarray) -> np.ndarray:
+def _checked(ms: Sequence[int], h: np.ndarray) -> np.ndarray:
+    """``h`` as a float array, once every m of ``ms`` and every h is checked."""
+    for m in ms:
+        if not isinstance(m, int) or m < 2:
+            raise ChannelDomainError(f"ensemble size m must be an integer >= 2, got {m!r}")
     hs = np.asarray(h, dtype=float)
     if not (np.isfinite(hs) & (hs >= 0.0)).all():
         raise ChannelDomainError(f"energy SINR h must be finite and >= 0, got {h!r}")
     return hs
-
-
-def _same_kind(h: float | np.ndarray, p: np.ndarray) -> float | np.ndarray:
-    """``p`` as an ndarray for an ndarray ``h``, as a float otherwise."""
-    return p if isinstance(h, np.ndarray) else float(p)
 
 
 def _q_array(x: np.ndarray) -> np.ndarray:
@@ -248,18 +239,14 @@ class ExactCoherentOrthogonal(SerModel):
     docstring): relative accuracy holds in the tail, p is smooth and
     non-increasing in h, and ``p(m, 0)`` is exactly ``(m-1)/m``.  It is
     validated for m <= 64 and raises :class:`ChannelDomainError` above.
-    ``ser`` is the one-m case of ``ser_table``'s kernel.
+    ``ser`` is the one-(m, h) case of ``ser_table``.
     """
 
-    def ser(self, m: int, h: float | np.ndarray) -> float | np.ndarray:
-        _check_m(m)
-        hs = _check_h(h)
-        return _same_kind(h, _orthogonal_ser((m,), hs.reshape(-1)).reshape(hs.shape))
+    def ser(self, m: int, h: float) -> float:
+        return self.ser_table((m,), np.array([float(h)])).item()
 
     def ser_table(self, ms: Sequence[int], h: np.ndarray) -> np.ndarray:
-        for m in ms:  # every m is checked before anything is computed
-            _check_m(m)
-        return _orthogonal_ser(ms, _check_h(h))
+        return _orthogonal_ser(ms, _checked(ms, h))
 
     def _ser_slope(self, m: int, h: float) -> tuple[float, float]:
         """(p, dp/dh) at one h, unchecked: a search's grid call has checked its window."""
@@ -271,11 +258,13 @@ class ExactCoherentOrthogonal(SerModel):
 class UnionBound(SerModel):
     """Union bound p <= min((m-1) * Q(h), (m-1)/m)."""
 
-    def ser(self, m: int, h: float | np.ndarray) -> float | np.ndarray:
-        _check_m(m)
-        hs = _check_h(h)
-        k = m - 1
-        return _same_kind(h, np.minimum(k * _q_array(hs), k / m))
+    def ser(self, m: int, h: float) -> float:
+        return self.ser_table((m,), np.array([float(h)])).item()
+
+    def ser_table(self, ms: Sequence[int], h: np.ndarray) -> np.ndarray:
+        hs = _checked(ms, h)
+        k = np.array(ms, dtype=float).reshape(-1, 1) - 1.0  # m - 1 per row, exactly
+        return np.minimum(k * _q_array(hs), k / (k + 1.0))
 
 
 def capacity_bits_per_symbol(m: int, p: float) -> float:

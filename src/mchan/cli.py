@@ -29,7 +29,6 @@ import argparse
 import json
 import math
 import numbers
-import os
 import sys
 
 from mchan import __version__
@@ -164,16 +163,10 @@ def _native(v):
 # parser construction
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("MCHAN_SEED", "0"))
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default csv)")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    p.add_argument("--seed", type=int, default=_default_seed(),
-                   help="root seed (default $MCHAN_SEED or 0); echoed in the header")
     p.add_argument("--config", default=None,
                    help="file of key=value lines, each read as the flag --key-with-hyphens=value; "
                         "explicit flags override")
@@ -224,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--w-cap", type=float, default=None, help="ICPE ceiling constraint")
     po.add_argument("--band-eps", type=float, default=None,
                     help="restrict max-icse to w <= w_inf*(1+eps)")
-    po.add_argument("--method", choices=("reduced", "grid2d"), default="reduced")
     po.add_argument("--verify", choices=("statement1", "statement3"), default=None)
     po.add_argument("--g-list", type=_floats_csv, default=(0.5, 1.0, 2.0),
                     help="amplitudes for --verify statement3")
@@ -250,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--n-list", type=_ints_csv, default=(8, 10, 12, 14, 16),
                     help="register lengths for nsweep mode")
     pi.add_argument("--signals", type=int, default=4, help="signals per cell (nsweep mode)")
+    pi.add_argument("--seed", type=int, default=0, help="root seed of the error draws")
     _add_common(pi)
 
     pm = sub.add_parser("mac", allow_abbrev=False,
@@ -277,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     pms.add_argument("--warmup", type=int, default=10_000)
     pms.add_argument("--batches", type=int, default=20)
     pms.add_argument("--confidence", type=float, default=0.95)
+    pms.add_argument("--seed", type=int, default=0, help="root seed of the arrivals and packet lengths")
     _add_common(pms)
 
     pma = msub.add_parser("allocate", allow_abbrev=False,
@@ -351,6 +345,13 @@ def _cmd_optimize(args):
     from mchan.extremum import (ExtremumSpec, maximize_icse, minimize_icpe, verify_statement1,
                                 verify_statement3)
 
+    if args.verify is not None:
+        given = (("--g", args.g), ("--bs", args.b_s), ("--cf-min", args.cf_min),
+                 ("--w-cap", args.w_cap), ("--band-eps", args.band_eps))
+        unread = [flag for flag, v in given if v is not None]
+        if unread:
+            raise UsageError(f"--verify {args.verify} does not read {', '.join(unread)}")
+
     if args.verify == "statement1":
         if args.m is None:
             raise UsageError("--verify statement1 needs --m")
@@ -385,7 +386,7 @@ def _cmd_optimize(args):
         icpe_band_eps=args.band_eps,
     )
     solver = minimize_icpe if args.objective == "min-icpe" else maximize_icse
-    result = solver(spec, method=args.method)
+    result = solver(spec)
     results = {"evaluations": result.evaluations}
     if result.note:
         results["note"] = result.note

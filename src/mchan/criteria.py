@@ -57,8 +57,9 @@ class NoiseSpec:
     n0_interference: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n0_noise < 0.0 or self.n0_interference < 0.0:
-            raise ValueError("spectral densities must be >= 0")
+        for v in (self.n0_noise, self.n0_interference):
+            if not (v >= 0.0 and math.isfinite(v)):
+                raise ValueError(f"spectral densities must be finite and >= 0, got {v!r}")
 
     @property
     def n0_total(self) -> float:
@@ -91,10 +92,12 @@ class LinkBudget:
             "ref_distance_m",
             "noise_interference_w",
         ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if self.path_loss_exponent < 2.0:
-            raise ValueError("path_loss_exponent must be >= 2")
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        v = self.path_loss_exponent
+        if not (v >= 2.0 and math.isfinite(v)):
+            raise ValueError(f"path_loss_exponent must be finite and >= 2, got {v!r}")
 
 
 def icse(point: ChannelPoint, model: SerModel) -> float:
@@ -139,10 +142,10 @@ def icpe_joule_forms(w: float, noise: NoiseSpec, b_s: float) -> tuple[float, flo
     w_Jc = w * N_0m * B_s / 2 and w_Jb = w_Jc * B_s / 2.  Requires a
     strictly positive combined density N_0m.
     """
-    if w < 0.0:
+    if not (w >= 0.0):  # w is +inf at zero capacity
         raise ValueError(f"ICPE w must be >= 0, got {w!r}")
-    if b_s <= 0.0:
-        raise ChannelDomainError(f"signal base must be > 0, got {b_s!r}")
+    if not (b_s > 0.0 and math.isfinite(b_s)):
+        raise ChannelDomainError(f"signal base must be finite and > 0, got {b_s!r}")
     n0 = noise.n0_total
     if n0 <= 0.0:
         raise ValueError("Joule conversion requires a positive combined density N_0m")
@@ -153,8 +156,8 @@ def icpe_joule_forms(w: float, noise: NoiseSpec, b_s: float) -> tuple[float, flo
 
 def cell_radius(budget: LinkBudget, g_target: float) -> float:
     """Largest distance (metres) at which the budget sustains g_target."""
-    if g_target <= 0.0:
-        raise ValueError(f"target SINR amplitude must be > 0, got {g_target!r}")
+    if not (g_target > 0.0 and math.isfinite(g_target)):
+        raise ValueError(f"target SINR amplitude must be finite and > 0, got {g_target!r}")
     ratio = budget.tx_power_w * budget.system_gain / (
         budget.ref_loss * g_target * g_target * budget.noise_interference_w
     )
@@ -167,15 +170,15 @@ def cell_radius(budget: LinkBudget, g_target: float) -> float:
 
 
 def _cell_area_km2(radius_m: float) -> float:
-    if radius_m <= 0.0:
-        raise ValueError(f"cell radius must be > 0, got {radius_m!r}")
+    if not (radius_m > 0.0 and math.isfinite(radius_m)):
+        raise ValueError(f"cell radius must be finite and > 0, got {radius_m!r}")
     r_km = radius_m / 1000.0
     return math.pi * r_km * r_km
 
 
 def icce(w: float, radius_m: float) -> float:
     """Territorial power efficiency w / (pi * R_km**2), per km^2."""
-    if w < 0.0:
+    if not (w >= 0.0):  # w is +inf at zero capacity
         raise ValueError(f"ICPE w must be >= 0, got {w!r}")
     return w / _cell_area_km2(radius_m)
 
@@ -190,7 +193,7 @@ def icie(
     ``cost_fn`` maps the power criterion to an infrastructural cost; the
     default is the identity, which makes ICIE coincide with ICCE.
     """
-    if w < 0.0:
+    if not (w >= 0.0):  # w is +inf at zero capacity
         raise ValueError(f"ICPE w must be >= 0, got {w!r}")
     cost = w if cost_fn is None else cost_fn(w)
     if not math.isfinite(cost):

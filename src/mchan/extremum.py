@@ -16,13 +16,15 @@ Every refinement ends on one rule: a sign change of the objective's slope
 (an interior optimum) or of the constraint margin (a constraint edge),
 each closed on its own by one Illinois regula falsi to a bracket of a few
 ulps; or at a grid point where no direction descends, which is a window
-end or a kink of c_F.  The slope comes from dp/dh, which the SER kernel
-integrates on its own nodes (one kernel call per probe).  The flags are
-that rule's outcome, not tolerances: ``attained`` is false only at a
-window end whose slope points out of the window (for m = 2 the power
-criterion has no interior minimum and its infimum pi * ln 2 is only
-approached as h -> 0), and a constraint is active only on its own margin
-root.  A direct search (``method="grid2d"``), a (g, B_s) mesh plus two
+end or a kink of c_F.  If no grid point of an m is feasible, the ICPE
+minimiser h* joins its grid first: the w_cap margin peaks there, and so
+does a c_F floor's at a fixed g or above the kink.  The slope comes from
+dp/dh, which the SER kernel integrates on its own nodes (one kernel call
+per probe).  The flags are that rule's outcome, not tolerances:
+``attained`` is false only at a window end whose slope points out of the
+window (for m = 2 the power criterion has no interior minimum and its
+infimum pi * ln 2 is only approached as h -> 0), and a constraint is
+active only on its own margin root.  A direct search (``method="grid2d"``), a (g, B_s) mesh plus two
 reduced line searches from its best cell, is kept as a cross-check.
 """
 
@@ -118,8 +120,9 @@ class ExtremumSpec:
     searched over ``m_set`` and the log-grid ranges.  ``c_f_min`` and
     ``w_cap`` are optional constraints (ICSE floor / ICPE ceiling);
     ``icpe_band_eps`` restricts an ICSE maximisation to the near-infimum
-    power band w <= w_inf(m) * (1 + eps).  Constraints are met exactly: a
-    reported point has c_F >= c_f_min and w <= w_cap with no tolerance.
+    power band w <= w_inf(m) * (1 + eps); ``minimize_icpe`` refuses it.
+    Constraints are met exactly: a reported point has c_F >= c_f_min and
+    w <= w_cap with no tolerance.
     The objective is named by the search function that takes the spec.
     """
 
@@ -461,17 +464,23 @@ def _solve_reduced(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
     for m, p in zip(spec.m_values, _EXACT.ser_table(spec.m_values, np.array(grid))):
         cw = [_capacity_and_w(m, h, q) for h, q in zip(grid, p.tolist())]
         m_grid, w_cap, band_note = grid, spec.w_cap, ""
-        if maximise and spec.icpe_band_eps is not None:
-            # h* lies in the band by construction, so it seeds the band
-            # search, which reuses this pass's grid C_m.
+        band = maximise and spec.icpe_band_eps is not None
+        if band or not any(_feasibility(c, w, base(h), (maximise, spec.c_f_min, w_cap))[1] >= 0.0
+                           for h, (c, w) in zip(grid, cw)):
+            # The ICPE minimiser h* seeds the band, which holds it by
+            # construction.  It is also where w_cap - w peaks, and a c_F
+            # floor's margin at a fixed g or above the kink (c_F = g**2 / w
+            # there), so a feasible set narrower than a grid step is found.
+            # This pass reuses the grid C_m, and h* joins the grid.
             h_seed, seed, evals, _ = _minimise(
                 lambda h: _probe(m, h, None, (0.0, 0.0), _UNCONSTRAINED), grid,
                 [_feasibility(c, w, None, _UNCONSTRAINED) for c, w in cw])
             total_evals += evals
-            w_inf = seed[0]
-            band_cap = w_inf * (1.0 + spec.icpe_band_eps)
-            w_cap = band_cap if w_cap is None else min(w_cap, band_cap)
-            band_note = f"near-infimum band: w_inf({m})={w_inf!r}"
+            if band:
+                w_inf = seed[0]
+                band_cap = w_inf * (1.0 + spec.icpe_band_eps)
+                w_cap = band_cap if w_cap is None else min(w_cap, band_cap)
+                band_note = f"near-infimum band: w_inf({m})={w_inf!r}"
             if h_seed not in grid:
                 j = bisect.bisect(grid, h_seed)
                 m_grid, cw = grid[:j] + [h_seed] + grid[j:], cw[:j] + [seed[2:]] + cw[j:]
@@ -485,7 +494,7 @@ def _solve_reduced(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
         h, out, evals, how = _minimise(probe, m_grid, outs)
         total_evals += evals
         if how == "infeasible":
-            # The nearest-feasible point of the scan grid, as a certificate.
+            # The nearest-feasible point of the scan grid (h* included), as a certificate.
             g, b_s = _map_back(axes, h, prefer_min_base=True)
             near_misses.append(_certificate(m, h, g, b_s, out))
             continue
@@ -570,6 +579,8 @@ _METHODS = {"reduced": _solve_reduced, "grid2d": _solve_grid2d}
 def _solve(spec: ExtremumSpec, maximise: bool, method: str) -> ExtremumResult:
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if spec.icpe_band_eps is not None and not maximise:
+        raise ValueError("the near-infimum band (icpe_band_eps) restricts maximize_icse only")
     return _METHODS[method](spec, maximise)
 
 
@@ -697,6 +708,8 @@ def verify_statement3(
     g_sorted = [float(g) for g in g_values]
     if len(g_sorted) < 2:
         raise ValueError("need at least two g values")
+    if not all(g > 0.0 and math.isfinite(g) for g in g_sorted):
+        raise ValueError(f"g values must be finite and > 0, got {g_sorted!r}")
     if any(b <= a for a, b in zip(g_sorted, g_sorted[1:])):
         raise ValueError("g values must be strictly increasing")
     # At B_s = 2, h = g exactly; GridRange refuses an empty or reversed window.

@@ -473,6 +473,8 @@ def sinr_surface(timing_grid, phase_grid, *, ensemble: SignalEnsemble | None = N
         raise ValueError("need an ensemble, a layout, or both")
     _check_trials(trials)
     _check_seed(seed)
+    if not math.isfinite(noise_power_db):
+        raise ValueError(f"noise power must be finite in dB, got {noise_power_db!r}")
     intra_ens = ensemble if ensemble is not None else layout.reference
     intra_table = _intra_table(intra_ens)
     if layout is not None:

@@ -162,8 +162,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.loads or any(not (g > 0.0 and math.isfinite(g)) for g in self.loads):
             raise ValueError("loads must be positive and finite")
-        if self.overhead is not None and not (self.overhead >= 0.0):
-            raise ValueError(f"overhead must be >= 0, got {self.overhead!r}")
+        if self.overhead is not None and not (self.overhead >= 0.0
+                                              and math.isfinite(self.overhead)):
+            raise ValueError(f"overhead must be finite and >= 0, got {self.overhead!r}")
         if self.warmup_packets < 0:
             raise ValueError("warmup_packets must be >= 0")
         if self.batches < 2:

@@ -88,7 +88,7 @@ def test_exact_ser_is_refused_above_its_validated_m():
     with pytest.raises(ChannelDomainError, match="m <= 64"):
         EXACT.ser(m + 1, 1.0)
     with pytest.raises(ChannelDomainError):
-        EXACT.ser(1024, np.array([1.0, 2.0]))
+        EXACT.ser_table((1024,), np.array([1.0, 2.0]))
     assert UnionBound().ser(1024, 5.0) == pytest.approx(1023 * q_function(5.0), rel=1e-14)
 
 
@@ -158,14 +158,12 @@ def test_frozen_reference_values():
 def test_array_call_equals_scalar_calls():
     h = np.concatenate(([0.0], np.geomspace(1e-3, 12.0, 63)))
     for model in (EXACT, UnionBound()):
-        for m in (2, 8, 64):
-            p = model.ser(m, h)
-            assert isinstance(p, np.ndarray) and p.shape == h.shape
+        table = model.ser_table((2, 8, 64), h)
+        assert table.shape == (3, h.size)
+        for m, row in zip((2, 8, 64), table):
             scalar = [model.ser(m, float(x)) for x in h]
             assert all(isinstance(v, float) for v in scalar)
-            np.testing.assert_allclose(p, scalar, rtol=1e-14, atol=0.0)
-    grid = EXACT.ser(4, h.reshape(8, 8))
-    assert grid.shape == (8, 8)
+            assert row.tobytes() == np.array(scalar).tobytes()
 
 
 H_ARRAYS = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 40.0)), min_size=1,
@@ -180,15 +178,16 @@ def test_ser_table_rows_equal_ser_bit_for_bit(ms, h):
         table = model.ser_table(ms, h)
         assert table.shape == (len(ms), h.size)
         for m, row in zip(ms, table):
-            assert row.tobytes() == model.ser(m, h).tobytes()
+            assert row.tobytes() == np.array([model.ser(m, float(x)) for x in h]).tobytes()
 
 
 @settings(deadline=None, max_examples=25)
 @given(m=st.sampled_from((2, 4, 8, 16, 32, 64)), h=H_ARRAYS)
 def test_ser_at_an_h_does_not_depend_on_the_other_h(m, h):
     # The node sum is one dot product per h, so p depends only on (m, h).
-    p = EXACT.ser(m, h)
-    assert [float(x) for x in p] == [EXACT.ser(m, float(x)) for x in h]
+    p = EXACT.ser_table((m,), h)[0]
+    assert p.tobytes() == np.concatenate([EXACT.ser_table((m,), h[i:i + 1])[0]
+                                          for i in range(h.size)]).tobytes()
 
 
 @settings(deadline=None, max_examples=25)
@@ -230,8 +229,7 @@ def test_ser_zero_esinr_is_uniform_guessing():
 def test_ser_monotone_decreasing_in_h():
     # Strictly non-increasing, with no slack for quadrature noise.
     h = np.linspace(0.0, 10.0, 4096)
-    for m in (2, 8, 64):
-        assert np.all(np.diff(EXACT.ser(m, h)) <= 0.0)
+    assert np.all(np.diff(EXACT.ser_table((2, 8, 64), h), axis=1) <= 0.0)
 
 
 def test_ser_increases_with_ensemble_size():
@@ -247,9 +245,12 @@ def test_ser_argument_validation():
     with pytest.raises(ChannelDomainError):
         EXACT.ser(4, math.nan)
     with pytest.raises(ChannelDomainError):
-        EXACT.ser(4, np.array([1.0, -0.5]))
+        EXACT.ser_table((4,), np.array([1.0, -0.5]))
     with pytest.raises(ChannelDomainError):
-        UnionBound().ser(4, np.array([1.0, math.inf]))
+        UnionBound().ser_table((4,), np.array([1.0, math.inf]))
+    for model in (EXACT, UnionBound()):  # ser takes one h; a grid of h is a table
+        with pytest.raises(TypeError):
+            model.ser(4, np.array([1.0, 2.0]))
 
 
 def test_capacity_endpoints_exact():

@@ -1,5 +1,6 @@
 """Command-line interface: output format, exit codes, header round-trips."""
 
+import argparse
 import importlib
 import importlib.util
 import json
@@ -22,15 +23,8 @@ from mchan.extremum import GridRange
 from mchan.mac import OverSubscriptionError
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.pop("MCHAN_SEED", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "mchan", *argv],
-        capture_output=True, text=True, env=env,
-    )
+def run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "mchan", *argv], capture_output=True, text=True)
 
 
 def header_params(text: str) -> dict[str, str]:
@@ -113,7 +107,7 @@ def test_criteria_link_budget_columns():
     assert float(rows[0]["icce"]) == pytest.approx(w / (math.pi * r_km**2), rel=1e-12)
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     assert run_cli("criteria", "--m", "4").returncode == 2  # incomplete point
     assert run_cli("criteria", "--m", "4", "--g", "1.0", "--bs", "-2.0").returncode == 2
     assert run_cli("mac", "allocate", "--n", "3", "--shares",
@@ -121,15 +115,74 @@ def test_usage_errors_exit_2():
     proc = run_cli("optimize", "--verify", "statement1")  # missing --m
     assert proc.returncode == 2
     assert "statement1" in proc.stderr
-    proc = run_cli("optimize", "--objective", "max-icse", "--m", "8", "--band-eps", "0.05",
-                   "--method", "grid2d")  # the band needs the reduced search
+    proc = run_cli("optimize", "--m", "8", "--band-eps", "0.05")  # the band bounds max-icse only
     assert proc.returncode == 2
     assert "icpe_band_eps" in proc.stderr
+    for flag, value in (("--g", "1.0"), ("--bs", "2.0"), ("--cf-min", "1.0"), ("--w-cap", "2.0"),
+                        ("--band-eps", "0.05")):  # the verifiers never read these
+        assert cli.main(["optimize", "--verify", "statement3", "--m", "8", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: --verify statement3 does not read {flag}\n"
     for window in ("5:1", "2:2"):  # reversed and empty statement-3 windows
         proc = run_cli("optimize", "--verify", "statement3", "--m", "8", "--h-window", window)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: range hi must be finite and > lo")
         assert proc.stdout == ""
+
+
+LINK_BUDGET = {"--tx-power": "16.0", "--sys-gain": "1.0", "--ref-loss": "1.0",
+               "--ref-dist": "100.0", "--loss-exp": "4.0", "--rx-npi": "1.0"}
+
+
+def argv_with(argv, flag, value):
+    """``argv`` with ``flag`` set to ``value``."""
+    argv = list(argv)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
+POINT = ["criteria", "--m", "4", "--g", "1.0", "--bs", "2.0"]
+JOULE = [*POINT, "--n0n", "1e-20"]
+BUDGET = [*POINT, *(x for kv in LINK_BUDGET.items() for x in kv)]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (JOULE, "--n0n", "nan"),
+    (JOULE, "--n0n", "inf"),
+    (JOULE, "--n0i", "nan"),
+    *((BUDGET, flag, "nan") for flag in LINK_BUDGET),
+    (BUDGET, "--loss-exp", "inf"),
+    (BUDGET, "--sys-gain", "inf"),
+    (["interference", "--degree", "3", "--grid", "2x2", "--trials", "10"], "--noise-db", "nan"),
+    (["interference", "--degree", "3", "--grid", "2x2", "--trials", "10"], "--noise-db", "inf"),
+    (["optimize", "--verify", "statement3", "--m", "8"], "--g-list", "nan,1"),
+    (["optimize", "--verify", "statement3", "--m", "8"], "--g-list", "1,inf"),
+    (["optimize", "--verify", "statement3", "--m", "8"], "--g-list", "0,1"),
+    (["mac", "simulate", "--discipline", "md1", "--length-bits", "64", "--loads", "0.5",
+      "--packets", "400", "--warmup", "10", "--batches", "4"], "--overhead", "inf"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_non_finite_inputs_exit_2(capsys, argv, flag, value):
+    assert cli.main(argv) == 0  # the command runs with a finite value
+    capsys.readouterr()
+    assert cli.main(argv_with(argv, flag, value)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    (*POINT, "--seed", "1"),
+    ("optimize", "--m", "8", "--seed", "1"),
+    ("mac", "limits", "--discipline", "md1", "--length-bits", "1000", "--seed", "1"),
+    ("mac", "allocate", "--n", "4", "--shares", "0.5,0.5", "--seed", "1"),
+    ("optimize", "--m", "8", "--method", "grid2d"),
+], ids=("criteria_seed", "optimize_seed", "mac_limits_seed", "mac_allocate_seed", "method"))
+def test_inputs_no_command_reads_exit_2(capsys, argv):
+    # Nothing random runs in these four commands, and grid2d is a library
+    # cross-check: the flags are gone.
+    assert cli.main(list(argv)) == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_exact_ser_bound_exits_2(capsys):
@@ -148,64 +201,38 @@ def test_exact_ser_bound_exits_2(capsys):
     assert "validated for m <= 64" in err and "union" not in err
 
 
-# Frozen stderr of each infeasible search: the certificate helper that both
-# solvers share must not move a digit.  c_F peaks at the kink h = g_hi *
-# sqrt(b_s_lo / 2), which both scan grids hold, so both certify it.
-INFEASIBLE_STDERR = {
-    "reduced": (
-        "infeasible: no feasible point in the search region; best margin "
-        "-6.960751242098709 at m=2, h=2.23606797749979\n"
-        'nearest-feasible certificate: {"b_s": 0.1, "c_f": 18.03924875790129, "g": 10.0, '
-        '"h": 2.23606797749979, "m": 2, "margin": -6.960751242098709, '
-        '"w": 5.543468097927274}\n'),
-    "grid2d": (
-        "infeasible: no feasible point on the 2-D grid; best margin "
-        "-6.960751242098709 at m=2, h=2.23606797749979\n"
-        'nearest-feasible certificate: {"b_s": 0.1, "c_f": 18.03924875790129, "g": 10.0, '
-        '"h": 2.23606797749979, "m": 2, "margin": -6.960751242098709, '
-        '"w": 5.543468097927274}\n'),
-}
+# Frozen stderr of an infeasible search: the certificate must not move a
+# digit.  c_F peaks at the kink h = g_hi * sqrt(b_s_lo / 2), which the scan
+# grid holds, so the search certifies it.
+INFEASIBLE_STDERR = (
+    "infeasible: no feasible point in the search region; best margin "
+    "-6.960751242098709 at m=2, h=2.23606797749979\n"
+    'nearest-feasible certificate: {"b_s": 0.1, "c_f": 18.03924875790129, "g": 10.0, '
+    '"h": 2.23606797749979, "m": 2, "margin": -6.960751242098709, '
+    '"w": 5.543468097927274}\n')
 
 
-@pytest.mark.parametrize("method", ["reduced", "grid2d"])
-def test_infeasible_search_exits_3_with_certificate(method):
-    proc = run_cli("optimize", "--m", "2", "--cf-min", "25", "--method", method)
+def test_infeasible_search_exits_3_with_certificate():
+    proc = run_cli("optimize", "--m", "2", "--cf-min", "25")
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == INFEASIBLE_STDERR[method]
+    assert proc.stderr == INFEASIBLE_STDERR
 
 
-def test_optimize_grid2d_output_is_frozen():
-    # On the default log grids h depends only on 3i + 2j (g index i, B_s
-    # index j), so about 20 mesh cells share the best h up to rounding.
-    # Among the cells within 4 ulp of the best w the search refines from
-    # the one whose g is nearest the g-range's geometric centre, so the
-    # last bits of p no longer pick the printed (g, B_s).  Both line
-    # searches (in g at that cell's B_s, then in B_s at the g found) run on
-    # log grids in h and end on a root of the slope, so h holds to ~2e-15
-    # (reference h* = 1.1693372642256438).  Scanning h rather than g and
-    # B_s themselves sets the last 1-2 digits of g, B_s and h.
-    proc = run_cli("optimize", "--m", "8", "--method", "grid2d")
-    assert proc.returncode == 0
-    assert proc.stdout == (
-        "# mchan 0.1.0\n"
-        "# command=optimize\n"
-        "# param bs_range=0.1:1000.0:64\n"
-        "# param format=csv\n"
-        "# param g_list=0.5,1.0,2.0\n"
-        "# param g_range=0.01:10.0:64\n"
-        "# param h_window=0.01:50.0\n"
-        "# param m=8\n"
-        "# param m_set=2,4,8,16,32,64\n"
-        "# param method=grid2d\n"
-        "# param objective=min-icpe\n"
-        "# param seed=0\n"
-        "# result evaluations=4239\n"
-        "# result note=direct 2-D search\n"
-        "objective,m,g,b_s,h,value,c_f,w,attained\n"
-        "min_icpe,8,0.3022452954572978,29.935772947204946,1.1693372642256457,"
-        "1.485434617527867,0.06149864662377537,1.485434617527867,true\n"
-    )
+@pytest.mark.parametrize("argv, slack", [
+    (("--w-cap", "1.48545"), "slack_w_cap"),
+    (("--w-cap", "1.48545", "--objective", "max-icse"), "slack_w_cap"),
+    (("--g", "0.5", "--cf-min", "0.1683"), "slack_c_f_min"),
+], ids=("w_cap", "w_cap_max_icse", "cf_min_at_fixed_g"))
+def test_feasible_set_between_grid_points_is_found(capsys, argv, slack):
+    # w_inf(8) = 1.4854346 < 1.48545, and at g = 0.5 the largest c_F is
+    # g**2 / w_inf = 0.16830091 > 0.1683: both margins peak at h* = 1.16934,
+    # between two grid points of the default window, and are negative at
+    # every grid point.  h* joins the grid, so the search succeeds.
+    assert cli.main(["optimize", "--m", "8", *argv]) == 0
+    value = next(l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith(f"# result {slack}="))
+    assert float(value.partition("=")[2]) >= 0.0
 
 
 def test_fixed_axis_adds_no_grid_points(capsys):
@@ -271,13 +298,6 @@ def test_raised_errors_map_to_exit_codes(monkeypatch, capsys, error, code, prefi
     assert capsys.readouterr().err == f"{prefix}{error}\n"
 
 
-def test_seed_env_default():
-    proc = run_cli("mac", "limits", "--discipline", "md1", "--length-bits", "1000",
-                   env_extra={"MCHAN_SEED": "77"})
-    assert proc.returncode == 0
-    assert header_params(proc.stdout)["seed"] == "77"
-
-
 def test_mac_limits_values():
     proc = run_cli("mac", "limits", "--discipline", "md1", "--length-bits", "1000")
     columns, rows = data_rows(proc.stdout)
@@ -298,6 +318,8 @@ def test_mac_allocate_output():
 
 
 def test_mac_allocate_output_is_frozen():
+    # The allocator draws nothing at random, so the command has no --seed
+    # and its header no seed line; every other line is as it was with one.
     proc = run_cli("mac", "allocate", "--n", "4", "--shares", "1:0.5,2:0.3,3:0.2")
     assert proc.returncode == 0
     assert proc.stdout == (
@@ -305,7 +327,6 @@ def test_mac_allocate_output_is_frozen():
         "# command=mac allocate\n"
         "# param format=csv\n"
         "# param n=4\n"
-        "# param seed=0\n"
         "# param shares=1:0.5,2:0.3,3:0.2\n"
         "# result pool=15\n"
         "station,share,count,first_position,identifiers\n"
@@ -415,9 +436,11 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
                    "--config", str(cfg))
     assert proc.returncode == 2
     assert "unrecognized arguments: --no-such-flag=1" in proc.stderr
-    cfg.write_text("m=8\ntol=1e-06\n")  # an older header's tol line: the option is gone
-    assert cli.main(["optimize", "--config", str(cfg)]) == 2
-    assert "unrecognized arguments: --tol=1e-06" in capsys.readouterr().err
+    # Lines of older headers whose options are gone.
+    for line in ("tol=1e-06", "method=reduced", "seed=0"):
+        cfg.write_text(f"m=8\n{line}\n")
+        assert cli.main(["optimize", "--config", str(cfg)]) == 2
+        assert f"unrecognized arguments: --{line}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, argv", [
@@ -568,6 +591,39 @@ PACKAGE_SURFACE = {
     "md1_limits", "mm1_limits", "simulate_tdma", "MSequence", "NonPrimitiveTapsError",
     "distinct_msequences", "generate_msequence", "periodic_autocorrelation",
 }
+
+
+# Every flag of every subcommand: adding or removing a flag is an edit here.
+COMMON_FLAGS = {"--config", "--format", "--out"}
+CLI_FLAGS = {
+    "criteria": COMMON_FLAGS | {"--b-s", "--bs", "--g", "--g-list", "--loss-exp", "--m",
+                                "--m-list", "--n0i", "--n0n", "--ref-dist", "--ref-loss",
+                                "--rx-npi", "--ser", "--sweep-bs", "--sys-gain", "--tx-power"},
+    "optimize": COMMON_FLAGS | {"--b-s", "--band-eps", "--bs", "--bs-range", "--cf-min", "--g",
+                                "--g-list", "--g-range", "--h-window", "--m", "--m-set",
+                                "--objective", "--verify", "--w-cap"},
+    "interference": COMMON_FLAGS | {"--degree", "--ephi-max", "--et-max", "--grid",
+                                    "--inter-cells", "--inter-weight", "--mode", "--n-list",
+                                    "--noise-db", "--rows", "--seed", "--signals", "--trials"},
+    "mac limits": COMMON_FLAGS | {"--bit-rate", "--discipline", "--geom-p", "--length-bits"},
+    "mac simulate": COMMON_FLAGS | {"--batches", "--bit-rate", "--confidence", "--discipline",
+                                    "--geom-p", "--length-bits", "--loads", "--overhead",
+                                    "--packets", "--seed", "--warmup"},
+    "mac allocate": COMMON_FLAGS | {"--n", "--shares"},
+}
+
+
+def subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_cli_flags_are_frozen():
+    commands = subcommand_parsers(cli.build_parser())
+    parsers = {name: p for name, p in commands.items() if name != "mac"}
+    parsers |= {f"mac {name}": p for name, p in subcommand_parsers(commands["mac"]).items()}
+    flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, p in parsers.items()}
+    assert flags == CLI_FLAGS
 
 
 def test_public_surface_is_frozen():

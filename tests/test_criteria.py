@@ -91,6 +91,17 @@ def test_joule_forms_need_positive_noise():
         icpe_joule_forms(w=2.0, noise=NoiseSpec(0.0, 0.0), b_s=4.0)
 
 
+def test_criteria_of_w_refuse_nan_and_pass_infinite_w():
+    # w is +inf at zero capacity, which the CLI prints; a nan w is no value.
+    noise = NoiseSpec(n0_noise=1.0)
+    for of_w in (lambda w: icpe_joule_forms(w, noise, 2.0), lambda w: icce(w, 1000.0),
+                 lambda w: icie(w, 1000.0)):
+        with pytest.raises(ValueError, match="ICPE w must be >= 0"):
+            of_w(math.nan)
+    assert icpe_joule_forms(math.inf, noise, 2.0) == (math.inf, math.inf)
+    assert icce(math.inf, 1000.0) == math.inf
+
+
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(n0_noise=-1.0, n0_interference=0.0)

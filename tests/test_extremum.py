@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mchan.channel as channel
@@ -346,15 +346,79 @@ def test_explicit_power_cap_binds():
 
 @pytest.mark.parametrize("method", ["reduced", "grid2d"])
 def test_infeasible_search_raises_with_certificate(method):
-    # c_F = 2 C / B_s <= 2 log2(2) / 0.1 = 20 over the whole region
+    # c_F = 2 C / B_s <= 2 log2(2) / 0.1 = 20 over the whole region; it
+    # peaks at the kink h = g_hi * sqrt(b_s_lo / 2), which the reduced scan
+    # grid and the grid2d mesh both hold, so both certify it, to the digit.
     spec = ExtremumSpec(m_fixed=2, c_f_min=25.0)
     with pytest.raises(InfeasibleSearchError) as exc:
         minimize_icpe(spec, method)
     cert = exc.value.certificate
     assert set(cert) == {"m", "h", "g", "b_s", "c_f", "w", "margin"}
     assert cert["margin"] == pytest.approx(cert["c_f"] - 25.0, rel=1e-12)
-    assert cert["margin"] < 0.0
+    assert (cert["margin"], cert["h"]) == (-6.960751242098709, 2.23606797749979)
     assert cert["h"] == pytest.approx(cert["g"] * math.sqrt(cert["b_s"] / 2.0), rel=1e-12)
+
+
+def test_grid2d_result_is_frozen():
+    # On the default log grids h depends only on 3i + 2j (g index i, B_s
+    # index j), so about 20 mesh cells share the best h up to rounding.
+    # Among the cells within 4 ulp of the best w the search refines from
+    # the one whose g is nearest the g-range's geometric centre, so the
+    # last bits of p do not pick the reported (g, B_s).  Both line
+    # searches (in g at that cell's B_s, then in B_s at the g found) run on
+    # log grids in h and end on a root of the slope, so h holds to ~2e-15
+    # (reference h* = 1.1693372642256438).  Scanning h rather than g and
+    # B_s themselves sets the last 1-2 digits of g, B_s and h.
+    res = minimize_icpe(ExtremumSpec(m_fixed=8), method="grid2d")
+    assert (res.m, res.g, res.b_s, res.h) == (8, 0.3022452954572978, 29.935772947204946,
+                                              1.1693372642256457)
+    assert res.value == res.w == 1.485434617527867
+    assert res.attained and res.evaluations == 4239
+    assert res.note == "direct 2-D search"
+
+
+@settings(deadline=None, max_examples=25)
+@given(m=st.sampled_from(DEFAULT_M_SET), lo=st.floats(1e-3, 1.0), decades=st.floats(0.5, 4.6),
+       points=st.integers(50, 400))
+def test_w_has_one_slope_sign_change(m, lo, decades, points):
+    # For m >= 3, w falls to its minimum at h* and rises after it; for
+    # m = 2 it rises throughout.  So w_cap - w, and c_F = g**2 / w at a
+    # fixed g or above the kink, peak at h* (or at h_lo for m = 2), which is
+    # where a search whose scan grid is infeasible looks next.
+    h = np.geomspace(lo, min(lo * 10.0 ** decades, 40.0), points)
+    p = EXACT.ser_table((m,), h)[0]
+    w = [x * x / capacity_bits_per_symbol(m, q) for x, q in zip(h.tolist(), p.tolist())]
+    rising = np.diff(w) > 0.0
+    if m == 2:
+        assert rising.all()
+    else:
+        assert not (rising[:-1] & ~rising[1:]).any()  # it falls, then rises
+
+
+@settings(deadline=None, max_examples=25)
+@given(m=st.sampled_from(DEFAULT_M_SET[1:]), maximise=st.booleans(),
+       g_lo=st.floats(0.1, 1.0), g_decades=st.floats(0.1, 1.0),
+       b_lo=st.floats(0.5, 5.0), b_decades=st.floats(0.1, 1.0),
+       points=st.integers(2, 8), t=st.floats(0.01, 0.99))
+def test_w_cap_feasible_only_between_grid_points_is_met(m, maximise, g_lo, g_decades, b_lo,
+                                                        b_decades, points, t):
+    # w_cap lies between w_inf and the smallest w on the scan grid, so no
+    # grid point is feasible, yet h* is: the search must find it.
+    g = GridRange(g_lo, g_lo * 10.0 ** g_decades, points)
+    b = GridRange(b_lo, b_lo * 10.0 ** b_decades, points)
+    h_lo, h_hi = g.lo * math.sqrt(b.lo / 2.0), g.hi * math.sqrt(b.hi / 2.0)
+    assume(h_lo < H_STAR[m] < h_hi)
+    grid = GridRange(h_lo, h_hi, points).log_grid()
+    if maximise:  # c_F enters, so its kink joins the scan grid
+        grid.append(g.hi * math.sqrt(b.lo / 2.0))
+    p = EXACT.ser_table((m,), np.array(grid))[0]
+    w_grid = min(x * x / capacity_bits_per_symbol(m, q) for x, q in zip(grid, p.tolist()))
+    spec = ExtremumSpec(m_fixed=m, g_range=g, b_s_range=b)
+    w_inf = minimize_icpe(spec).value
+    w_cap = w_inf + t * (w_grid - w_inf)
+    res = (maximize_icse if maximise else minimize_icpe)(replace(spec, w_cap=w_cap))
+    assert res.constraint_slack["w_cap"] >= 0.0
+    assert res.w <= w_cap
 
 
 def test_flatness_verifier_on_a_coarse_grid():
@@ -454,6 +518,8 @@ def test_spec_validation():
         minimize_icpe(ExtremumSpec(m_fixed=4), method="annealing")
     with pytest.raises(ValueError, match="icpe_band_eps"):  # grid2d has no ICPE pass
         maximize_icse(ExtremumSpec(m_fixed=8, icpe_band_eps=0.05), method="grid2d")
+    with pytest.raises(ValueError, match="icpe_band_eps"):  # the band bounds c_F only
+        minimize_icpe(ExtremumSpec(m_fixed=8, icpe_band_eps=0.05))
     assert ExtremumSpec().m_values == tuple(sorted(DEFAULT_M_SET))
 
 
