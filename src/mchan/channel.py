@@ -24,9 +24,12 @@ relative accuracy when it is tiny.  One fixed 128-node Gauss-Legendre
 rule is laid on u in [-h/sqrt(2) - 8, -h/sqrt(2) + 8]: the integrand's
 mass sits near u = 0 for small h and near u = -h/sqrt(2), with width
 1/sqrt(2), for large h.  The same rule serves every h, so p is smooth in
-h.  Q, log1p(-Q) and the Gaussian weight at the nodes depend on h only, so
-one kernel call integrates an ndarray of h for several m at once
-(``SerModel.ser_table``), and each (m, h) gets its own node sum: p depends
+h.  One kernel entry integrates any set of (m, h) pairs: Q, log1p(-Q) and
+the Gaussian weight at the nodes depend on h only, so they are computed
+once per distinct h, and the work of each m runs only on the h paired
+with it.  ``ser`` (one pair), ``ser_table`` (every m of a set at every h
+of an array) and the searches' probe rounds (any pairs, with dp/dh) are
+shapes of that entry, and each (m, h) gets its own node sum: p depends
 only on (m, h), never on which other m or h share the call.  Against an
 independent high-precision quadrature the relative error is below 1e-14
 for m <= 64 and h <= 9.5, and against Q(h) for m = 2 below 1e-12 up to
@@ -47,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +76,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # to truncate mass (2.6e-12 at half-width 7).
 _RULE_NODES = 128
 _RULE_HALF_WIDTH = 8.0
-_RULE_BLOCK = 32
+_RULE_BLOCK = 64
 # The largest m the rule is validated for (to 1e-13 in tests/test_channel.py).
 _RULE_MAX_M = 64
 
@@ -151,8 +155,8 @@ def _checked(ms: Sequence[int], h: np.ndarray) -> np.ndarray:
 
 def _q_array(x: np.ndarray) -> np.ndarray:
     """Q elementwise, through ``math.erfc`` (relative accuracy in the tail)."""
-    z = (x / _SQRT2).ravel().tolist()
-    return 0.5 * np.fromiter(map(math.erfc, z), float, count=len(z)).reshape(x.shape)
+    z = (x / _SQRT2).ravel()  # read as floats through a memoryview: no list is built
+    return 0.5 * np.fromiter(map(math.erfc, memoryview(z)), float, count=z.size).reshape(x.shape)
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +172,9 @@ def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes and weights of the SER rule on [-_RULE_HALF_WIDTH, _RULE_HALF_WIDTH].
 
     Newton's method on the Legendre recurrence from Tricomi's initial
-    roots; the weights carry the window scale and phi's 1/sqrt(2 pi).
+    roots; the weights carry the window scale, phi's 1/sqrt(2 pi) and a
+    minus sign, which turns expm1((m-1) log Phi) into 1 - Phi**(m-1)
+    exactly.
     The third array weighs dp/dh: with u = node - h/sqrt(2),
     phi(u) phi(u + h*sqrt(2)) = exp(-node**2) exp(-h**2/2) / (2 pi), so
     it adds exp(-node**2), the other 1/sqrt(2 pi) and dp/dh's -sqrt(2).
@@ -186,49 +192,59 @@ def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     nodes = _RULE_HALF_WIDTH * np.concatenate((-x, x[::-1]))
     weights = (_RULE_HALF_WIDTH * _INV_SQRT_2PI) * np.concatenate((w, w[::-1]))
-    return nodes, weights, (-_SQRT2 * _INV_SQRT_2PI) * weights * np.exp(-nodes * nodes)
+    return nodes, -weights, (-_SQRT2 * _INV_SQRT_2PI) * weights * np.exp(-nodes * nodes)
 
 
-def _orthogonal_ser(ms: Sequence[int], h: np.ndarray, slope: bool = False):
-    """The SER for each m of ``ms`` (rows) at each h of a 1-D array (columns).
+def _orthogonal_ser(h: list[float], pairs: Sequence[tuple[int, slice | list[int]]],
+                    slope: bool = False):
+    """p at the (m, h) pairs that ``pairs`` names, as one flat array.
 
+    The one kernel entry of the exact SER.  ``h`` lists checked values of
+    h, and each entry (m, cols) of ``pairs`` pairs m with the h that
+    ``cols`` (a slice or a list of indices) picks from them; the result
+    runs over the entries in their order, so a table comes out row by row.
     Q(u + h*sqrt(2)), its log1p(-Q) and the Gaussian weight depend on h
-    only, so each block of _RULE_BLOCK values of h computes them once for
-    every m.  Blocks keep every temporary (128 nodes per h) small, so a long
-    sweep does not raise the process's peak memory.  Each row's node sum
-    is its own dot product (``np.vecdot``; a matmul rounds a 1-row operand
-    differently from a many-row one), so p depends only on (m, h).  p is
-    capped at (m-1)/m, its exact value at h = 0.  ``ms`` are integers >= 2
-    and ``h`` is checked; an m above the rule's validated range is refused
-    before anything is computed.  With ``slope`` the result is the pair
-    (p, dp/dh), each with that shape, and p is unchanged.
+    only, so they are computed once per h of ``h``, and the work of an m
+    runs only on the h paired with it.  Each pair's node sum is its own
+    dot product (``np.vecdot``; a matmul rounds a 1-row operand
+    differently from a many-row one), so p depends only on (m, h), never
+    on what shares the call.  p is capped at (m-1)/m, its exact value at
+    h = 0.  An m above the rule's validated range is refused before
+    anything is computed.  With ``slope`` the result is the pair
+    (p, dp/dh), each of that shape, and p is unchanged.
     """
-    if max(ms, default=2) > _RULE_MAX_M:
+    m_top = max((m for m, _ in pairs), default=2)
+    if m_top > _RULE_MAX_M:
         raise ChannelDomainError(f"the exact SER rule is validated for m <= {_RULE_MAX_M}, "
-                                 f"got m={max(ms)}")
+                                 f"got m={m_top}")
     nodes, weights, slope_weights = _gauss_legendre_rule()
-    p = np.empty((len(ms), h.size))
-    p_h = np.empty_like(p) if slope else None
-    for start in range(0, h.size, _RULE_BLOCK):
-        stop = start + _RULE_BLOCK
-        hb = h[start:stop]
-        shift = (hb / _SQRT2)[:, None]  # mass at u = -shift
-        u = nodes - shift
-        gauss = np.exp(-0.5 * u * u)
-        with np.errstate(divide="ignore"):  # log1p(-1) = -inf where Q rounds to 1
-            log_cdf = np.log1p(-_q_array(nodes + shift))  # log Phi(u + h*sqrt(2))
-        at_zero = hb == 0.0
-        for row, m in enumerate(ms):
-            miss = -np.expm1((m - 1) * log_cdf)  # 1 - Phi**(m-1) without cancellation
-            p_max = (m - 1) / m
-            p[row, start:stop] = np.where(
-                at_zero, p_max, np.minimum(np.vecdot(gauss * miss, weights), p_max))
-            if slope:  # Phi**(m-2) * exp(-shift**2) on the slope weights
-                p_h[row, start:stop] = (m - 1) * np.vecdot(
-                    np.exp((m - 2) * log_cdf - shift * shift), slope_weights)
+    hs = np.array(h)
+    shift = (hs / _SQRT2)[:, None]  # mass at u = -shift
+    u = nodes - shift
+    gauss = np.exp(-0.5 * u * u)
+    # Q < 1 at every node for h >= 0 (1 - Q is 6.7e-16 at the first node,
+    # -7.9986), so log1p(-Q) is finite.
+    log_cdf = np.log1p(-_q_array(nodes + shift))  # log Phi(u + h*sqrt(2))
+    decay = shift * shift if slope else None
+    at_zero = hs == 0.0 if 0.0 in h else None
+    ps, p_hs = [], []
+    for m, cols in pairs:
+        lc = log_cdf[cols]
+        # Phi**(m-1) - 1 without cancellation; the weights carry its minus sign.
+        p_max = (m - 1) / m
+        p = np.minimum(np.vecdot(gauss[cols] * np.expm1((m - 1) * lc), weights), p_max)
+        if at_zero is not None:
+            p[at_zero[cols]] = p_max
+        ps.append(p)
+        if slope:  # Phi**(m-2) * exp(-shift**2) on the slope weights
+            p_hs.append((m - 1) * np.vecdot(np.exp((m - 2) * lc - decay[cols]), slope_weights))
+    p = ps[0] if len(ps) == 1 else np.concatenate(ps)
     if not np.isfinite(p).all():
-        raise QuadratureError(f"the SER rule gave a non-finite value at m in {ms}, h={h!r}")
-    return (p, p_h) if slope else p
+        raise QuadratureError(f"the SER rule gave a non-finite value at m in "
+                              f"{[m for m, _ in pairs]}, h={h!r}")
+    if slope:
+        return p, p_hs[0] if len(p_hs) == 1 else np.concatenate(p_hs)
+    return p
 
 
 @dataclass(frozen=True)
@@ -239,19 +255,49 @@ class ExactCoherentOrthogonal(SerModel):
     docstring): relative accuracy holds in the tail, p is smooth and
     non-increasing in h, and ``p(m, 0)`` is exactly ``(m-1)/m``.  It is
     validated for m <= 64 and raises :class:`ChannelDomainError` above.
-    ``ser`` is the one-(m, h) case of ``ser_table``.
+    ``ser``, ``ser_table`` and ``_ser_slope`` are shapes of the one kernel
+    entry: one pair, the outer product of an m set and a 1-D array of h,
+    and any pairs with dp/dh.
     """
 
     def ser(self, m: int, h: float) -> float:
-        return self.ser_table((m,), np.array([float(h)])).item()
+        return _orthogonal_ser(_checked((m,), np.array([float(h)])).tolist(),
+                               ((m, slice(None)),)).item()
 
     def ser_table(self, ms: Sequence[int], h: np.ndarray) -> np.ndarray:
-        return _orthogonal_ser(ms, _checked(ms, h))
+        """p for every m of ``ms`` (rows) at every h of a 1-D array (columns).
 
-    def _ser_slope(self, m: int, h: float) -> tuple[float, float]:
-        """(p, dp/dh) at one h, unchecked: a search's grid call has checked its window."""
-        p, p_h = _orthogonal_ser((m,), np.array([h]), slope=True)
-        return p.item(), p_h.item()
+        The table is computed in blocks of _RULE_BLOCK values of h, which
+        keep every temporary (128 nodes per h) small, so a long sweep does
+        not raise the process's peak memory.
+        """
+        hs = _checked(ms, h).tolist()
+        table = np.empty((len(ms), len(hs)))
+        every = [(m, slice(None)) for m in ms]
+        for start in range(0, len(hs) or 1, _RULE_BLOCK):  # an empty h still checks the m's
+            block = hs[start:start + _RULE_BLOCK]
+            table[:, start:start + len(block)] = _orthogonal_ser(block, every).reshape(
+                len(ms), len(block))
+        return table
+
+    def _ser_slope(self, ms: Sequence[int], hs: Sequence[float]
+                   ) -> tuple[list[float], list[float]]:
+        """p and dp/dh at each pair (ms[k], hs[k]), from one kernel call.
+
+        Unchecked: a search's grid call has checked its window.  Each
+        distinct h is one column of the call, and each run of equal m
+        takes the columns of its pairs (a slice where they run in order),
+        so the call returns the pairs in their order.
+        """
+        column: dict[float, int] = {}
+        cols = [column.setdefault(h, len(column)) for h in hs]
+        pairs, k = [], 0
+        for m, run in groupby(ms):
+            n = len(list(run))
+            c, k = cols[k:k + n], k + n
+            pairs.append((m, slice(c[0], c[0] + n) if c == list(range(c[0], c[0] + n)) else c))
+        p, p_h = _orthogonal_ser(list(column), pairs, slope=True)
+        return p.tolist(), p_h.tolist()
 
 
 @dataclass(frozen=True)

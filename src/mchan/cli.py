@@ -412,6 +412,10 @@ def _cmd_interference(args):
                                          signals_per_cell=args.signals)
         return {}, ("n", "power", "std_error"), rows
 
+    # Refused before np.linspace, which turns an infinite end into nan.
+    for flag, value in (("--et-max", args.et_max), ("--ephi-max", args.ephi_max)):
+        if not 0.0 <= value < math.inf:
+            raise UsageError(f"{flag} must be finite and >= 0, got {value!r}")
     n_cells = args.inter_cells
     if n_cells > 0:
         seqs = distinct_msequences(args.degree, 1 + n_cells)

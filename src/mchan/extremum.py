@@ -7,10 +7,10 @@ a log-spaced grid, refine from the best grid point, then map the
 optimiser back to a concrete (g, B_s) pair.  Every search and verifier
 runs on the exact SER model (:class:`~mchan.channel.ExactCoherentOrthogonal`,
 m <= 64); only ``sweep_curves`` takes another.  One SER table
-(``ser_table``) gives p on a scan grid for every m: the m's of a search,
-of the grid2d mesh or of a curve family, and both passes of the
-near-infimum band search, share one kernel call.  C_m and w come from the
-one rule ``criteria._capacity_and_w``.
+(``ser_table``) gives p on the scan grids of every m: the m's of a search,
+the bases of ``verify_statement1``, the grid2d mesh or a curve family, and
+both passes of the near-infimum band search, share one table.  C_m and w
+come from the one rule ``criteria._capacity_and_w``.
 
 Every refinement ends on one rule: a sign change of the objective's slope
 (an interior optimum) or of the constraint margin (a constraint edge),
@@ -19,8 +19,13 @@ ulps; or at a grid point where no direction descends, which is a window
 end or a kink of c_F.  If no grid point of an m is feasible, the ICPE
 minimiser h* joins its grid first: the w_cap margin peaks there, and so
 does a c_F floor's at a fixed g or above the kink.  The slope comes from
-dp/dh, which the SER kernel integrates on its own nodes (one kernel call
-per probe).  The flags are that rule's outcome, not tolerances:
+dp/dh, which the SER kernel integrates on its own nodes.  A search is a
+generator that yields each h it probes, and one driver runs the
+independent searches of a call (the m's of a search, the bases of
+``verify_statement1``) in lockstep: their scan grids share one SER table,
+and each round of probes is one kernel call.  p and dp/dh depend only on
+(m, h), so each search takes the probes, and returns the result, it
+would alone.  The flags are that rule's outcome, not tolerances:
 ``attained`` is false only at a window end whose slope points out of the
 window (for m = 2 the power criterion has no interior minimum and its
 infimum pi * ln 2 is only approached as h -> 0), and a constraint is
@@ -34,7 +39,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Generator, TypeVar
 
 import numpy as np
 
@@ -74,6 +79,8 @@ _STATEMENT1_THRESHOLD = 1e-6
 # verify_statement3's grid points on the h window and its bound on the spread.
 _STATEMENT3_POINTS = 96
 _STATEMENT3_THRESHOLD = 1e-3
+
+_T = TypeVar("_T")
 
 
 class InfeasibleSearchError(ValueError):
@@ -197,23 +204,57 @@ def _log_grid(lo: float, hi: float, points: int) -> list[float]:
 
 
 Outputs = tuple[float, float, float, float]  # objective, margin, C_m, w: see _feasibility
-Probe = Callable[[float], tuple[Outputs, float, float]]
+# The outputs at h, and the objective's slope left and right of h, from h and (p, dp/dh) there.
+Probe = Callable[[float, float, float], tuple[Outputs, float, float]]
+# A search in lockstep: it yields each h at which it needs (p, dp/dh) and is
+# sent that pair; its return value is its result.
+Search = Generator[float, tuple[float, float], _T]
 # (maximise, c_f_min, w_cap): which objective and constraints _feasibility applies.
 Constraints = tuple[bool, float | None, float | None]
 _UNCONSTRAINED: Constraints = (False, None, None)
 
 
+def _lockstep(ms: list[int], searches: list[Search]) -> list:
+    """Run the searches, ``searches[k]`` at m = ``ms[k]``, and return their results in order.
+
+    In each round every live search's next h joins one kernel call
+    (``_ser_slope``), so independent searches refine together; a search
+    that has returned drops out.  p and dp/dh depend only on (m, h), so
+    each search takes the same probes, and returns the same result, as
+    it would alone.
+    """
+    results = [None] * len(searches)
+    live: list[tuple[int, float]] = []  # (k, the h that search k asks for)
+
+    def advance(k: int, sent: tuple[float, float] | None) -> None:
+        try:
+            live.append((k, searches[k].send(sent)))
+        except StopIteration as stop:
+            results[k] = stop.value
+
+    for k in range(len(searches)):
+        advance(k, None)
+    while live:
+        asked, live = live, []
+        ps, p_hs = _EXACT._ser_slope([ms[k] for k, _ in asked], [h for _, h in asked])
+        for (k, _), p, p_h in zip(asked, ps, p_hs):
+            advance(k, (p, p_h))
+    return results
+
+
 def _minimise(probe: Probe, grid: list[float], outs: list[Outputs]
-              ) -> tuple[float, Outputs, int, str]:
+              ) -> Search[tuple[float, Outputs, int, str]]:
     """Refine the objective on an ascending scan ``grid`` in h to its minimum.
 
     ``outs`` are :func:`_feasibility`'s outputs at each grid point: the
     objective (+inf where h is infeasible), the constraint margin
     (feasible iff >= 0), C_m and w.  The caller computes them, so grids of
-    several m or passes can share their kernel work.  ``probe(h)``
-    returns those outputs at one h with the objective's slope in log h
-    from the left and from the right of h (they differ only at a kink,
-    which the caller puts on the grid, so each grid interval is smooth).
+    several m or passes can share their kernel work.  Each probe yields
+    its h and is sent (p, dp/dh) there (see :func:`_lockstep`);
+    ``probe(h, p, p_h)`` returns those outputs at h with the objective's
+    slope in log h from the left and from the right of h (they differ
+    only at a kink, which the caller puts on the grid, so each grid
+    interval is smooth).
 
     From the best grid point the search follows the slope's descent to the
     next grid point.  If the descent changes sign there, :func:`_close`
@@ -236,7 +277,7 @@ def _minimise(probe: Probe, grid: list[float], outs: list[Outputs]
         return grid[i], outs[i], evals, "infeasible"
     if n == 1:
         return grid[0], outs[0], evals, "optimum"
-    out, left, right = probe(grid[i])
+    out, left, right = probe(grid[i], *(yield grid[i]))
     evals += 1
     while True:
         if right < 0.0 and i + 1 < n:
@@ -248,7 +289,7 @@ def _minimise(probe: Probe, grid: list[float], outs: list[Outputs]
         else:
             return grid[i], out, evals, "optimum"
         j = i + step
-        out_j, left_j, right_j = probe(grid[j])
+        out_j, left_j, right_j = probe(grid[j], *(yield grid[j]))
         evals += 1
         descent_j = -step * (left_j if step > 0 else right_j)
         if min(descent_j, out_j[1]) < 0.0:
@@ -258,13 +299,13 @@ def _minimise(probe: Probe, grid: list[float], outs: list[Outputs]
     # Each bracket closes one smooth function, so the two scales never mix.
     outer = (grid[j], out_j[1], out_j)
     if descent_j < 0.0:
-        h, o, k = _close(lambda o, s: -step * s, probe, (grid[i], descent, out),
-                         (grid[j], descent_j, out_j))
+        h, o, k = yield from _close(lambda o, s: -step * s, probe, (grid[i], descent, out),
+                                    (grid[j], descent_j, out_j))
         evals += k
         if o[1] >= 0.0:
             return h, o, evals, "optimum"
         outer = (h, o[1], o)
-    h, o, k = _close(lambda o, s: o[1], probe, (grid[i], out[1], out), outer)
+    h, o, k = yield from _close(lambda o, s: o[1], probe, (grid[i], out[1], out), outer)
     return h, o, evals + k, "margin"
 
 
@@ -272,7 +313,7 @@ End = tuple[float, float, Outputs]  # a bracket end: h, f at h, outputs at h
 
 
 def _close(f: Callable[[Outputs, float], float], probe: Probe, inner: End, outer: End
-           ) -> tuple[float, Outputs, int]:
+           ) -> Search[tuple[float, Outputs, int]]:
     """The root of ``f(outputs, slope)`` between ``inner`` (f >= 0) and ``outer`` (f < 0).
 
     An Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) in log h
@@ -294,7 +335,7 @@ def _close(f: Callable[[Outputs, float], float], probe: Probe, inner: End, outer
             if min(t_in, t_out) < t_rf < max(t_in, t_out):
                 t = t_rf
         h = math.exp(t)
-        o, s, _ = probe(h)  # inside a grid interval both slopes agree
+        o, s, _ = probe(h, *(yield h))  # inside a grid interval both slopes agree
         v = f(o, s)
         if v >= 0.0:
             t_in, f_in, h_in, out_in = t, v, h, o
@@ -368,24 +409,25 @@ def _feasibility(c: float, w: float, b_s: float | None, constraints: Constraints
     return (-(2.0 * c / b_s) if maximise else w), margin, c, w
 
 
-def _probe(m: int, h: float, b_s: float | None, db: tuple[float, float],
+def _probe(m: int, h: float, p: float, p_h: float, b_s: float | None, db: tuple[float, float],
            constraints: Constraints) -> tuple[Outputs, float, float]:
-    """:func:`_feasibility`'s outputs at one h, and the objective's slopes, from one kernel call.
+    """:func:`_feasibility`'s outputs at one h, and the objective's slopes, from p and dp/dh there.
 
     The slope is d log|objective| / d log h, which has the sign of
     d objective / d log h, where d log b_s / d log h = ``db`` (left and
     right of h).  With e = h C_p p_h / C, the elasticity of C_m in h
     (C_p = dC/dp, p_h = dp/dh), it is 2 - e for w = h**2 / C, and
-    db - e for -c_F = -2 C / b_s.  h lies in a window whose grid the
-    kernel has checked.
+    db - e for -c_F = -2 C / b_s.
     """
-    p, p_h = _EXACT._ser_slope(m, h)
     out = _feasibility(*_capacity_and_w(m, h, p), b_s, constraints)
     c = out[2]
     if c == 0.0:
         e = math.inf  # w = inf and c_F = 0 here, and both improve as h grows
     elif p == 0.0:
-        e = 0.0
+        # C_m rises with h, but p has underflowed: e is positive and below
+        # every double, so on the plateau C_m = log2 m a search maximising
+        # c_F walks on to the kink or the window end.
+        e = math.ulp(0.0)
     else:  # C_p as capacity_bits_per_symbol writes it, safe for subnormal p
         c_p = math.log2(p) - math.log2(m - 1) - math.log1p(-p) / _LOG2
         e = h * c_p * p_h / c
@@ -446,76 +488,99 @@ def _certificate(m: int, h: float, g: float, b_s: float, out: Outputs) -> dict:
             "margin": margin}
 
 
-def _solve_reduced(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
-    axes = _axes(spec)
-    grid = _log_grid(*_h_window(axes), max(points for _, _, points in axes))
-    uses_c_f = maximise or spec.c_f_min is not None  # c_F = 2 C / b_s, at the smallest b_s
+def _search(spec: ExtremumSpec, maximise: bool, axes: Axes, grid: list[float], uses_c_f: bool,
+            m: int, p: list[float]) -> Search[tuple[ExtremumResult | dict, int]]:
+    """The search of one m on its scan ``grid`` in h, with p there.
+
+    Its result is (the result, or a certificate if no point is feasible,
+    and the evaluations of both passes).
+    """
 
     def base(h: float) -> float | None:
         return _b_s_compat(axes, h)[0] if uses_c_f else None
 
-    if uses_c_f and _kink(axes) not in grid:
-        # c_F has a kink there, so as a grid point it ends two smooth intervals.
-        bisect.insort(grid, _kink(axes))
-    per_m: list[ExtremumResult] = []
-    near_misses: list[dict] = []
-    total_evals = 0
-
-    for m, p in zip(spec.m_values, _EXACT.ser_table(spec.m_values, np.array(grid))):
-        cw = [_capacity_and_w(m, h, q) for h, q in zip(grid, p.tolist())]
-        m_grid, w_cap, band_note = grid, spec.w_cap, ""
-        band = maximise and spec.icpe_band_eps is not None
-        if band or not any(_feasibility(c, w, base(h), (maximise, spec.c_f_min, w_cap))[1] >= 0.0
-                           for h, (c, w) in zip(grid, cw)):
-            # The ICPE minimiser h* seeds the band, which holds it by
-            # construction.  It is also where w_cap - w peaks, and a c_F
-            # floor's margin at a fixed g or above the kink (c_F = g**2 / w
-            # there), so a feasible set narrower than a grid step is found.
-            # This pass reuses the grid C_m, and h* joins the grid.
-            h_seed, seed, evals, _ = _minimise(
-                lambda h: _probe(m, h, None, (0.0, 0.0), _UNCONSTRAINED), grid,
-                [_feasibility(c, w, None, _UNCONSTRAINED) for c, w in cw])
-            total_evals += evals
-            if band:
-                w_inf = seed[0]
-                band_cap = w_inf * (1.0 + spec.icpe_band_eps)
-                w_cap = band_cap if w_cap is None else min(w_cap, band_cap)
-                band_note = f"near-infimum band: w_inf({m})={w_inf!r}"
-            if h_seed not in grid:
-                j = bisect.bisect(grid, h_seed)
-                m_grid, cw = grid[:j] + [h_seed] + grid[j:], cw[:j] + [seed[2:]] + cw[j:]
-
-        constraints = (maximise, spec.c_f_min, w_cap)
-
-        def probe(h: float, m: int = m, constraints: Constraints = constraints):
-            return _probe(m, h, base(h), _base_slope(axes, h), constraints)
-
-        outs = [_feasibility(c, w, base(h), constraints) for h, (c, w) in zip(m_grid, cw)]
-        h, out, evals, how = _minimise(probe, m_grid, outs)
+    cw = [_capacity_and_w(m, h, q) for h, q in zip(grid, p)]
+    m_grid, w_cap, band_note, total_evals = grid, spec.w_cap, "", 0
+    band = maximise and spec.icpe_band_eps is not None
+    if band or not any(_feasibility(c, w, base(h), (maximise, spec.c_f_min, w_cap))[1] >= 0.0
+                       for h, (c, w) in zip(grid, cw)):
+        # The ICPE minimiser h* seeds the band, which holds it by
+        # construction.  It is also where w_cap - w peaks, and a c_F
+        # floor's margin at a fixed g or above the kink (c_F = g**2 / w
+        # there), so a feasible set narrower than a grid step is found.
+        # This pass reuses the grid C_m, and h* joins the grid.
+        h_seed, seed, evals, _ = yield from _minimise(
+            lambda h, p, p_h: _probe(m, h, p, p_h, None, (0.0, 0.0), _UNCONSTRAINED), grid,
+            [_feasibility(c, w, None, _UNCONSTRAINED) for c, w in cw])
         total_evals += evals
-        if how == "infeasible":
-            # The nearest-feasible point of the scan grid (h* included), as a certificate.
-            g, b_s = _map_back(axes, h, prefer_min_base=True)
-            near_misses.append(_certificate(m, h, g, b_s, out))
-            continue
+        if band:
+            w_inf = seed[0]
+            band_cap = w_inf * (1.0 + spec.icpe_band_eps)
+            w_cap = band_cap if w_cap is None else min(w_cap, band_cap)
+            band_note = f"near-infimum band: w_inf({m})={w_inf!r}"
+        if h_seed not in grid:
+            j = bisect.bisect(grid, h_seed)
+            m_grid, cw = grid[:j] + [h_seed] + grid[j:], cw[:j] + [seed[2:]] + cw[j:]
 
-        g, b_s = _map_back(axes, h, prefer_min_base=spec.c_f_min is not None or maximise)
-        per_m.append(_result(spec, maximise, m, g, b_s, h, out, w_cap, evals, how, band_note))
+    constraints = (maximise, spec.c_f_min, w_cap)
+    outs = [_feasibility(c, w, base(h), constraints) for h, (c, w) in zip(m_grid, cw)]
+    h, out, evals, how = yield from _minimise(
+        lambda h, p, p_h: _probe(m, h, p, p_h, base(h), _base_slope(axes, h), constraints),
+        m_grid, outs)
+    total_evals += evals
+    if how == "infeasible":
+        # The nearest-feasible point of the scan grid (h* included), as a certificate.
+        g, b_s = _map_back(axes, h, prefer_min_base=True)
+        return _certificate(m, h, g, b_s, out), total_evals
+    g, b_s = _map_back(axes, h, prefer_min_base=spec.c_f_min is not None or maximise)
+    return _result(spec, maximise, m, g, b_s, h, out, w_cap, evals, how, band_note), total_evals
 
-    if not per_m:
-        cert = max(near_misses, key=lambda c: c["margin"]) if near_misses else {}
+
+def _solve_reduced(specs: list[ExtremumSpec], maximise: bool) -> list[ExtremumResult]:
+    """The reduced search of every spec: one SER table for all their scan
+    grids, then every (spec, m) search refined in lockstep."""
+    plans = []
+    for spec in specs:
+        axes = _axes(spec)
+        grid = _log_grid(*_h_window(axes), max(points for _, _, points in axes))
+        uses_c_f = maximise or spec.c_f_min is not None  # c_F = 2 C / b_s, at the smallest b_s
+        if uses_c_f and _kink(axes) not in grid:
+            # c_F has a kink there, so as a grid point it ends two smooth intervals.
+            bisect.insort(grid, _kink(axes))
+        plans.append((spec, axes, grid, uses_c_f))
+    ms = sorted({m for spec in specs for m in spec.m_values})
+    table = _EXACT.ser_table(ms, np.array([h for *_, grid, _ in plans for h in grid]))
+    searches, search_ms, start = [], [], 0
+    for spec, axes, grid, uses_c_f in plans:
+        for m in spec.m_values:
+            p = table[ms.index(m), start:start + len(grid)].tolist()
+            searches.append(_search(spec, maximise, axes, grid, uses_c_f, m, p))
+            search_ms.append(m)
+        start += len(grid)
+    outcomes = iter(_lockstep(search_ms, searches))
+    return [_chosen(spec, maximise, [next(outcomes) for _ in spec.m_values]) for spec in specs]
+
+
+def _chosen(spec: ExtremumSpec, maximise: bool, outcomes: list[tuple[ExtremumResult | dict, int]]
+            ) -> ExtremumResult:
+    """The best of the per-m results, with every m's evaluations.
+
+    Raises :class:`InfeasibleSearchError` with the best certificate if no m is feasible.
+    """
+    per_m = [r for r, _ in outcomes if isinstance(r, ExtremumResult)]
+    if not per_m:  # each outcome is a certificate
+        cert = max((c for c, _ in outcomes), key=lambda c: c["margin"])
         raise InfeasibleSearchError(
             "no feasible point in the search region; best margin "
             f"{cert.get('margin')!r} at m={cert.get('m')!r}, h={cert.get('h')!r}",
             certificate=cert,
         )
-
     # Deterministic tie handling: better objective wins, then smaller m.
     if maximise:
         chosen = max(per_m, key=lambda r: (r.value, -r.m))
     else:
         chosen = min(per_m, key=lambda r: (r.value, r.m))
-    return replace(chosen, evaluations=total_evals)
+    return replace(chosen, evaluations=sum(e for _, e in outcomes))
 
 
 def _solve_grid2d(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
@@ -558,10 +623,10 @@ def _solve_grid2d(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
     # objective depends on h only, so one pass suffices.
     lines = []
     if spec.g_fixed is None:
-        lines.append(_solve_reduced(replace(spec, m_fixed=m, b_s_fixed=b_s), maximise))
+        lines += _solve_reduced([replace(spec, m_fixed=m, b_s_fixed=b_s)], maximise)
         g = lines[-1].g
     if spec.b_s_fixed is None:
-        lines.append(_solve_reduced(replace(spec, m_fixed=m, g_fixed=g), maximise))
+        lines += _solve_reduced([replace(spec, m_fixed=m, g_fixed=g)], maximise)
     if not lines:  # g and B_s fixed: h is the one point of its window, so attained
         return _result(spec, maximise, m, g, b_s, g * math.sqrt(b_s / 2.0), out, spec.w_cap,
                        evals, "optimum", "direct 2-D search")
@@ -573,15 +638,14 @@ def _solve_grid2d(spec: ExtremumSpec, maximise: bool) -> ExtremumResult:
                    note="direct 2-D search")
 
 
-_METHODS = {"reduced": _solve_reduced, "grid2d": _solve_grid2d}
-
-
 def _solve(spec: ExtremumSpec, maximise: bool, method: str) -> ExtremumResult:
-    if method not in _METHODS:
+    if method not in ("reduced", "grid2d"):
         raise ValueError(f"unknown method {method!r}")
     if spec.icpe_band_eps is not None and not maximise:
         raise ValueError("the near-infimum band (icpe_band_eps) restricts maximize_icse only")
-    return _METHODS[method](spec, maximise)
+    if method == "grid2d":
+        return _solve_grid2d(spec, maximise)
+    return _solve_reduced([spec], maximise)[0]
 
 
 def minimize_icpe(spec: ExtremumSpec, method: str = "reduced") -> ExtremumResult:
@@ -646,10 +710,13 @@ def verify_statement1(
     if b_s_grid is None:
         b_s_grid = GridRange(0.1, 100.0, 13)
 
-    rows = []
-    for b_s in b_s_grid.log_grid():
-        r = _solve_reduced(ExtremumSpec(m_fixed=m, b_s_fixed=b_s, g_range=g_range), False)
-        rows.append(FlatnessRow(b_s=b_s, h_min=r.h, w_min=r.value, attained=r.attained))
+    # One search per base, each in its own h-window: one SER table serves
+    # all their scan grids, and their probes are refined in lockstep.
+    bases = b_s_grid.log_grid()
+    rows = [FlatnessRow(b_s=b_s, h_min=r.h, w_min=r.value, attained=r.attained)
+            for b_s, r in zip(bases, _solve_reduced(
+                [ExtremumSpec(m_fixed=m, b_s_fixed=b_s, g_range=g_range) for b_s in bases],
+                False))]
     w_values = [r.w_min for r in rows]
     w_low, w_high = min(w_values), max(w_values)
     spread = (w_high - w_low) / w_low
@@ -713,8 +780,8 @@ def verify_statement3(
     if any(b <= a for a, b in zip(g_sorted, g_sorted[1:])):
         raise ValueError("g values must be strictly increasing")
     # At B_s = 2, h = g exactly; GridRange refuses an empty or reversed window.
-    res = _solve_reduced(ExtremumSpec(m_fixed=m, b_s_fixed=2.0,
-                                      g_range=GridRange(*h_window, _STATEMENT3_POINTS)), False)
+    res, = _solve_reduced([ExtremumSpec(m_fixed=m, b_s_fixed=2.0,
+                                        g_range=GridRange(*h_window, _STATEMENT3_POINTS))], False)
     h_star = res.h
 
     rows = []

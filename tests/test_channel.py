@@ -111,7 +111,7 @@ def scipy_tail_ser_slope(m: int, h: float) -> float:
 def test_exact_ser_slope_relative_accuracy_in_the_tail(m, bound):
     # dp/dh comes from the same call and nodes as p, which it leaves unchanged.
     for h in (0.5, 3.0, 6.5):  # three of the tail points above
-        p, p_h = EXACT._ser_slope(m, h)
+        (p,), (p_h,) = EXACT._ser_slope([m], [h])
         assert p == EXACT.ser(m, h)
         ref = scipy_tail_ser_slope(m, h)
         assert abs(p_h - ref) <= bound * abs(ref)
@@ -188,6 +188,28 @@ def test_ser_at_an_h_does_not_depend_on_the_other_h(m, h):
     p = EXACT.ser_table((m,), h)[0]
     assert p.tobytes() == np.concatenate([EXACT.ser_table((m,), h[i:i + 1])[0]
                                           for i in range(h.size)]).tobytes()
+
+
+PAIRS = st.lists(st.tuples(st.integers(2, 64), st.one_of(st.just(0.0), st.floats(1e-3, 40.0))),
+                 max_size=6)
+
+
+@settings(deadline=None, max_examples=50)
+@given(m=st.integers(2, 64), h=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+       others=PAIRS, at=st.integers(0, 6), grid=H_ARRAYS)
+def test_p_and_its_slope_do_not_depend_on_what_shares_the_call(m, h, others, at, grid):
+    # One kernel entry serves one pair, a table and a round of probes; p and
+    # dp/dh at (m, h) are the same bits in each.
+    (p,), (p_h,) = EXACT._ser_slope([m], [h])
+    bits = np.float64(p).tobytes()
+    assert np.float64(EXACT.ser(m, h)).tobytes() == bits
+    hs = np.insert(grid, min(at, grid.size), h)
+    assert EXACT.ser_table((m, 2, m), hs)[[0, 2], min(at, grid.size)].tobytes() == bits * 2
+    at = min(at, len(others))
+    pairs = others[:at] + [(m, h)] + others[at:]
+    p_all, p_h_all = EXACT._ser_slope([k for k, _ in pairs], [x for _, x in pairs])
+    assert (np.float64(p_all[at]).tobytes(), np.float64(p_h_all[at]).tobytes()) == (
+        bits, np.float64(p_h).tobytes())
 
 
 @settings(deadline=None, max_examples=25)

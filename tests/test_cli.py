@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -169,6 +170,21 @@ def test_non_finite_inputs_exit_2(capsys, argv, flag, value):
     assert cli.main(argv_with(argv, flag, value)) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--et-max", "--ephi-max"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1.0"])
+def test_surface_error_ranges_are_refused_as_given(capsys, flag, value):
+    # np.linspace would turn an infinite end into nan (with numpy's
+    # RuntimeWarning) and a negative one into grid values the user never
+    # gave, so the flag is refused first, naming the value given.
+    argv = ["interference", "--degree", "3", "--grid", "3x3", "--trials", "10", flag, value]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} must be finite and >= 0, got {float(value)!r}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,10 @@
 """Constrained extremum search: frozen optima, cross-checks, verifiers."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +148,21 @@ def test_maximize_icse_saturates_on_the_capacity_plateau():
     assert res.value == pytest.approx(math.log2(4), rel=1e-12)
 
 
+@pytest.mark.parametrize("points", [28, 62])
+def test_c_f_maximum_on_the_capacity_plateau_does_not_depend_on_the_grid(points):
+    # Where p underflows to 0, C_m is exactly log2 m on every point left of
+    # the window end, yet in exact arithmetic it still rises with h, so the
+    # supremum of c_F at a fixed base is the window end, not attained.  The
+    # search walks the plateau there on any grid; one that stopped on the
+    # plateau's first grid point would report h 40.98 with 28 points and
+    # 39.15 with 62.
+    b_s, g_range = 0.623978378554434, GridRange(0.9952684317789671, 920.5579947298701, points)
+    res = maximize_icse(ExtremumSpec(m_fixed=16, b_s_fixed=b_s, g_range=g_range))
+    assert not res.attained
+    assert res.h == g_range.hi * math.sqrt(b_s / 2.0)
+    assert res.value == res.c_f == 2.0 * math.log2(16) / b_s
+
+
 def test_near_infimum_band_caps_power():
     eps = 0.05
     res = maximize_icse(ExtremumSpec(m_fixed=8, icpe_band_eps=eps))
@@ -199,30 +218,90 @@ def test_search_work_counts(band_scan):
     assert total <= 5000  # 4685; 5576 by golden section
 
 
-def test_one_grid_kernel_call_per_search(monkeypatch):
-    # Every m of a search, and both passes of a band search, share one SER
-    # table on the scan grid; refinement probes are one h each.  The count
-    # is 384 grid points and 54 probes: one at m = 2, whose slope at h_lo
-    # points out of the window, and 10-11 to close each slope root.
-    kernel, grid_calls = channel._orthogonal_ser, []
+def test_kernel_calls_per_search(monkeypatch):
+    # Every m of a search, every base of a verifier and both passes of a
+    # band search share one SER table on their scan grids (a grid call);
+    # each round of probes is one kernel call for every live search (a
+    # probe round).  The default search makes 384 grid points and 54
+    # probes: one at m = 2, whose slope at h_lo points out of the window,
+    # and 10-11 to close each slope root, so the 6 searches take 11 rounds.
+    tables, rounds = [], []
+    table, slope = ExactCoherentOrthogonal.ser_table, ExactCoherentOrthogonal._ser_slope
 
-    def counted(ms, h, **kw):
-        if h.size > 1:
-            grid_calls.append(tuple(ms))
-        return kernel(ms, h, **kw)
+    def counted_table(self, ms, h):
+        tables.append(tuple(ms))
+        return table(self, ms, h)
 
-    monkeypatch.setattr(channel, "_orthogonal_ser", counted)
-    assert minimize_icpe(ExtremumSpec()).evaluations == 438
-    assert grid_calls == [DEFAULT_M_SET]
-    grid_calls.clear()
+    def counted_round(self, ms, hs):
+        rounds.append(len(ms))
+        return slope(self, ms, hs)
+
+    monkeypatch.setattr(ExactCoherentOrthogonal, "ser_table", counted_table)
+    monkeypatch.setattr(ExactCoherentOrthogonal, "_ser_slope", counted_round)
+    res = minimize_icpe(ExtremumSpec())
+    assert tables == [DEFAULT_M_SET]  # 1 grid call
+    assert len(rounds) <= 12  # 11 rounds for the 54 probes of the 6 searches
+    assert res.evaluations == 6 * 64 + sum(rounds)
+    tables.clear()
     maximize_icse(ExtremumSpec(m_fixed=8, icpe_band_eps=1e-3))
-    assert grid_calls == [(8,)]
-    grid_calls.clear()
+    assert tables == [(8,)]
+    tables.clear()
+    rounds.clear()
     minimize_icpe(ExtremumSpec(g_fixed=1.0, m_set=(4, 16)))
-    assert grid_calls == [(4, 16)]
-    grid_calls.clear()
+    assert tables == [(4, 16)]
+    assert len(rounds) <= 10  # 10 rounds of 2 probes
+    tables.clear()
+    rounds.clear()
     verify_statement1(4, b_s_grid=GridRange(0.5, 50.0, 4))  # one search per base
-    assert grid_calls == [(4,)] * 4
+    assert tables == [(4,)]  # one table for the 4 bases' scan grids
+    assert len(rounds) <= 12 and max(rounds) == 4  # 11 (12 at the reference SIMD level)
+
+
+@settings(deadline=None, max_examples=15)
+@given(m_set=st.sets(st.sampled_from(DEFAULT_M_SET), min_size=2).map(lambda s: tuple(sorted(s))),
+       maximise=st.booleans(), g_lo=st.floats(1e-2, 1.0), g_decades=st.floats(0.5, 3.0),
+       b_lo=st.floats(0.1, 10.0), b_decades=st.floats(0.5, 3.0), points=st.integers(3, 40),
+       cap=st.one_of(st.none(), st.floats(1.3, 3.0)))
+def test_lockstep_search_equals_each_m_alone(m_set, maximise, g_lo, g_decades, b_lo, b_decades,
+                                             points, cap):
+    # The m's of a search run in lockstep, one kernel call per round; p and
+    # dp/dh depend only on (m, h), so each m's search takes the probes it
+    # takes alone, and the result is the best of them with every m's
+    # evaluations, field for field.
+    spec = ExtremumSpec(m_set=m_set, g_range=GridRange(g_lo, g_lo * 10.0 ** g_decades, points),
+                        b_s_range=GridRange(b_lo, b_lo * 10.0 ** b_decades, points), w_cap=cap)
+    search = maximize_icse if maximise else minimize_icpe
+    alone, certificates = [], []
+    for m in m_set:
+        try:
+            alone.append(search(replace(spec, m_fixed=m)))
+        except InfeasibleSearchError as exc:
+            certificates.append(exc.certificate)
+    if not alone:
+        with pytest.raises(InfeasibleSearchError) as exc:
+            search(spec)
+        assert exc.value.certificate == max(certificates, key=lambda c: c["margin"])
+        return
+    best = (max(alone, key=lambda r: (r.value, -r.m)) if maximise else
+            min(alone, key=lambda r: (r.value, r.m)))
+    together = search(spec)
+    assert repr(together) == repr(replace(best, evaluations=together.evaluations))
+    if not certificates:
+        assert together.evaluations == sum(r.evaluations for r in alone)
+
+
+@settings(deadline=None, max_examples=10)
+@given(m=st.sampled_from(DEFAULT_M_SET[:4]), lo=st.floats(0.1, 1.0), decades=st.floats(1.0, 2.0),
+       bases=st.integers(2, 6), points=st.integers(8, 32))
+def test_lockstep_flatness_rows_equal_each_base_alone(m, lo, decades, bases, points):
+    # The bases of verify_statement1 share one SER table and refine in
+    # lockstep; each row is the search of its base alone.
+    g_range = GridRange(1e-4, 10.0, points)
+    b_grid = GridRange(lo, lo * 10.0 ** decades, bases)
+    report = verify_statement1(m, g_range=g_range, b_s_grid=b_grid)
+    for row, b_s in zip(report.rows, b_grid.log_grid(), strict=True):
+        r = minimize_icpe(ExtremumSpec(m_fixed=m, b_s_fixed=b_s, g_range=g_range))
+        assert (row.b_s, row.h_min, row.w_min, row.attained) == (b_s, r.h, r.value, r.attained)
 
 
 @settings(deadline=None, max_examples=25)
@@ -359,7 +438,40 @@ def test_infeasible_search_raises_with_certificate(method):
     assert cert["h"] == pytest.approx(cert["g"] * math.sqrt(cert["b_s"] / 2.0), rel=1e-12)
 
 
-def test_grid2d_result_is_frozen():
+def _reference_level_env() -> dict[str, str]:
+    """This environment with numpy's dispatch above X86_V3 (AVX-512) turned off.
+
+    numpy runs exp, log1p and expm1 in AVX-512 loops where the CPU has
+    them, and those round some last bits differently from the AVX2 and
+    baseline loops, so a value frozen to the last bit holds per SIMD
+    level.  The reference level is X86_V3: a child process whose
+    environment turns off the dispatch targets above it that numpy finds
+    on this CPU runs there.
+    """
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    for level in ("X86_V3", "AVX2"):  # numpy >= 2.4 names the level; earlier, its last feature
+        if level in __cpu_dispatch__:
+            above = __cpu_dispatch__[__cpu_dispatch__.index(level) + 1:]
+            # numpy reports a feature this process has turned off as not found.
+            off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+            off += [f for f in above if __cpu_features__[f]]
+            return dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off))
+    pytest.skip("the reference SIMD level is defined on x86-64")
+
+
+FROZEN_AT_REFERENCE_LEVEL = """
+import json
+from mchan.extremum import ExtremumSpec, minimize_icpe
+r = minimize_icpe(ExtremumSpec(m_fixed=8), method="grid2d")
+print(json.dumps([minimize_icpe(ExtremumSpec()).evaluations,
+                  [r.m, r.g, r.b_s, r.h, r.value, r.w, r.attained, r.evaluations, r.note]]))
+"""
+
+
+def test_frozen_values_at_the_reference_simd_level():
+    # The default search's evaluations (438 with numpy's AVX-512 loops) and
+    # the grid2d result, frozen at the reference SIMD level.
     # On the default log grids h depends only on 3i + 2j (g index i, B_s
     # index j), so about 20 mesh cells share the best h up to rounding.
     # Among the cells within 4 ulp of the best w the search refines from
@@ -369,12 +481,23 @@ def test_grid2d_result_is_frozen():
     # log grids in h and end on a root of the slope, so h holds to ~2e-15
     # (reference h* = 1.1693372642256438).  Scanning h rather than g and
     # B_s themselves sets the last 1-2 digits of g, B_s and h.
+    proc = subprocess.run([sys.executable, "-c", FROZEN_AT_REFERENCE_LEVEL],
+                          env=_reference_level_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    evaluations, grid2d = json.loads(proc.stdout)
+    assert evaluations == 439
+    assert grid2d == [8, 0.30224529545729806, 29.93577294720491, 1.169337264225646,
+                      1.4854346175278672, 1.4854346175278672, True, 4237, "direct 2-D search"]
+
+
+def test_grid2d_result_matches_the_frozen_infimum():
+    # The last bits are frozen at the reference SIMD level (above); on any
+    # level the result is the reduced search's optimum.
     res = minimize_icpe(ExtremumSpec(m_fixed=8), method="grid2d")
-    assert (res.m, res.g, res.b_s, res.h) == (8, 0.3022452954572978, 29.935772947204946,
-                                              1.1693372642256457)
-    assert res.value == res.w == 1.485434617527867
-    assert res.attained and res.evaluations == 4239
-    assert res.note == "direct 2-D search"
+    assert res.m == 8 and res.attained and res.note == "direct 2-D search"
+    assert res.h == pytest.approx(H_STAR[8], rel=1e-13)
+    assert res.value == res.w == pytest.approx(W_INF[8], rel=1e-14)
+    assert res.g * math.sqrt(res.b_s / 2.0) == pytest.approx(res.h, rel=1e-15)
 
 
 @settings(deadline=None, max_examples=25)
