@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Subcommands: ``criteria``, ``optimize``, ``interference``, ``mac limits``,
-``mac simulate``, ``mac allocate``.  Output is CSV or JSON with an
-embedded header carrying the tool version, the command, every option of
-the subcommand that has a value (``# param key=value`` lines, built in
-one place from the parsed arguments) and derived summary values
-(``# result key=value`` lines).  Headers carry no timestamps, and floats
+``mac simulate``, ``mac allocate``.  Each run is in one mode of its
+subcommand (``criteria`` at a point or over ``--sweep-bs``, ``optimize``
+searching or under ``--verify``, ``interference`` by ``--mode``), and one
+table, ``_READS``, gives the options each mode reads: a flag given to a
+mode that does not read it exits 2.  Output is CSV or JSON with an
+embedded header carrying the tool version, the command, every option the
+mode reads that has a value (``# param key=value`` lines, built in one
+place from that table) and derived summary values (``# result
+key=value`` lines).  Headers carry no timestamps, and floats
 are written with repr, so rerunning a command from its own header
 parameters reproduces the output byte for byte:
 
@@ -17,7 +21,8 @@ parameters reproduces the output byte for byte:
 Each ``key=value`` line of a ``--config`` file is read as the flag
 ``--key-with-hyphens=value``, placed before the command line's own flags,
 so explicit flags win and argparse checks config values exactly as it
-checks flags (types, choices, required options, no abbreviations).
+checks flags (types, choices, required options, no abbreviations); a
+line the mode does not read exits 2, as the flag would.
 
 Exit codes: 0 success, 2 usage/validation error, 3 infeasible search
 (with a nearest-feasible certificate on stderr), 4 numerical failure.
@@ -287,28 +292,22 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand handlers: each returns (results, columns, rows)
 
 
+def _ser_model(ser: str, m_max: int):
+    """The SER model ``--ser`` names, for ensembles up to ``m_max``."""
+    from mchan.channel import _RULE_MAX_M, ExactCoherentOrthogonal, UnionBound
+
+    if ser == "exact" and m_max > _RULE_MAX_M:  # the one command that can take this advice
+        raise UsageError(f"the exact SER rule is validated for m <= {_RULE_MAX_M}, "
+                         f"got m={m_max}; use --ser union for larger ensembles")
+    return ExactCoherentOrthogonal() if ser == "exact" else UnionBound()
+
+
 def _cmd_criteria(args):
-    from mchan.channel import _RULE_MAX_M, ChannelPoint, ExactCoherentOrthogonal, UnionBound
+    from mchan.channel import ChannelPoint
     from mchan.criteria import (LinkBudget, NoiseSpec, _capacity_and_w, cell_radius, icce,
                                 icpe_joule_forms)
 
-    model = ExactCoherentOrthogonal() if args.ser == "exact" else UnionBound()
-    m_max = max(args.m_list if args.sweep_bs is not None and args.m_list else (args.m or 2,))
-    if args.ser == "exact" and m_max > _RULE_MAX_M:  # the one command that can take this advice
-        raise UsageError(f"the exact SER rule is validated for m <= {_RULE_MAX_M}, "
-                         f"got m={m_max}; use --ser union for larger ensembles")
-
-    if args.sweep_bs is not None:
-        m_list = args.m_list if args.m_list else ((args.m,) if args.m else None)
-        g_list = args.g_list if args.g_list else ((args.g,) if args.g else None)
-        if not m_list or not g_list:
-            raise UsageError("sweep mode needs --m-list/--m and --g-list/--g")
-        from mchan.extremum import sweep_curves
-
-        points = sweep_curves(m_list, g_list, args.sweep_bs, model)
-        rows = [(p.m, p.g, p.b_s, p.h, p.c_f, p.w) for p in points]
-        return {}, ("m", "g", "b_s", "h", "c_f", "w"), rows
-
+    model = _ser_model(args.ser, args.m or 2)
     if args.m is None or args.g is None or args.b_s is None:
         raise UsageError("point mode needs --m, --g and --bs (or use --sweep-bs)")
     point = ChannelPoint(m=args.m, g=args.g, b_s=args.b_s)
@@ -341,38 +340,49 @@ def _cmd_criteria(args):
     return {}, tuple(columns), [tuple(row)]
 
 
+def _cmd_criteria_sweep(args):
+    from mchan.extremum import sweep_curves
+
+    m_list = args.m_list or ((args.m,) if args.m else None)
+    g_list = args.g_list or ((args.g,) if args.g else None)
+    model = _ser_model(args.ser, max(m_list or (2,)))
+    if not m_list or not g_list:
+        raise UsageError("sweep mode needs --m-list/--m and --g-list/--g")
+    points = sweep_curves(m_list, g_list, args.sweep_bs, model)
+    rows = [(p.m, p.g, p.b_s, p.h, p.c_f, p.w) for p in points]
+    return {}, ("m", "g", "b_s", "h", "c_f", "w"), rows
+
+
+def _cmd_verify_statement1(args):
+    from mchan.extremum import verify_statement1
+
+    if args.m is None:
+        raise UsageError("--verify statement1 needs --m")
+    report = verify_statement1(args.m, g_range=args.g_range, b_s_grid=args.bs_range)
+    results = {"m": report.m, "w_low": _fmt(report.w_low), "w_high": _fmt(report.w_high),
+               "spread_rel": _fmt(report.spread_rel), "threshold": _fmt(report.threshold),
+               "passed": _fmt(report.passed)}
+    rows = [(r.b_s, r.h_min, r.w_min, r.attained) for r in report.rows]
+    return results, ("b_s", "h_min", "w_min", "attained"), rows
+
+
+def _cmd_verify_statement3(args):
+    from mchan.extremum import verify_statement3
+
+    if args.m is None:
+        raise UsageError("--verify statement3 needs --m")
+    report = verify_statement3(args.m, args.g_list, h_window=args.h_window)
+    results = {"m": report.m, "h_star": _fmt(report.h_star), "w_inf": _fmt(report.w_inf),
+               "attained": _fmt(report.attained),
+               "strictly_decreasing": _fmt(report.strictly_decreasing),
+               "product_spread_rel": _fmt(report.product_spread_rel),
+               "passed": _fmt(report.passed)}
+    rows = [(r.g, r.b_s_star, r.invariant_product) for r in report.rows]
+    return results, ("g", "b_s_star", "invariant_product"), rows
+
+
 def _cmd_optimize(args):
-    from mchan.extremum import (ExtremumSpec, maximize_icse, minimize_icpe, verify_statement1,
-                                verify_statement3)
-
-    if args.verify is not None:
-        given = (("--g", args.g), ("--bs", args.b_s), ("--cf-min", args.cf_min),
-                 ("--w-cap", args.w_cap), ("--band-eps", args.band_eps))
-        unread = [flag for flag, v in given if v is not None]
-        if unread:
-            raise UsageError(f"--verify {args.verify} does not read {', '.join(unread)}")
-
-    if args.verify == "statement1":
-        if args.m is None:
-            raise UsageError("--verify statement1 needs --m")
-        report = verify_statement1(args.m, g_range=args.g_range, b_s_grid=args.bs_range)
-        results = {"m": report.m, "w_low": _fmt(report.w_low), "w_high": _fmt(report.w_high),
-                   "spread_rel": _fmt(report.spread_rel), "threshold": _fmt(report.threshold),
-                   "passed": _fmt(report.passed)}
-        rows = [(r.b_s, r.h_min, r.w_min, r.attained) for r in report.rows]
-        return results, ("b_s", "h_min", "w_min", "attained"), rows
-
-    if args.verify == "statement3":
-        if args.m is None:
-            raise UsageError("--verify statement3 needs --m")
-        report = verify_statement3(args.m, args.g_list, h_window=args.h_window)
-        results = {"m": report.m, "h_star": _fmt(report.h_star), "w_inf": _fmt(report.w_inf),
-                   "attained": _fmt(report.attained),
-                   "strictly_decreasing": _fmt(report.strictly_decreasing),
-                   "product_spread_rel": _fmt(report.product_spread_rel),
-                   "passed": _fmt(report.passed)}
-        rows = [(r.g, r.b_s_star, r.invariant_product) for r in report.rows]
-        return results, ("g", "b_s_star", "invariant_product"), rows
+    from mchan.extremum import ExtremumSpec, maximize_icse, minimize_icpe
 
     spec = ExtremumSpec(
         m_fixed=args.m,
@@ -400,17 +410,19 @@ def _cmd_optimize(args):
     return results, columns, rows
 
 
-def _cmd_interference(args):
+def _cmd_nsweep(args):
+    from mchan.interference import degree_interference_sweep
+
+    rows = degree_interference_sweep(args.n_list, trials=args.trials, seed=args.seed,
+                                     signals_per_cell=args.signals)
+    return {}, ("n", "power", "std_error"), rows
+
+
+def _cmd_surface(args):
     import numpy as np
 
-    from mchan.interference import (CellLayout, InterferingCell, SignalEnsemble,
-                                    degree_interference_sweep, sinr_surface)
+    from mchan.interference import CellLayout, InterferingCell, SignalEnsemble, sinr_surface
     from mchan.msequence import distinct_msequences, generate_msequence
-
-    if args.mode == "nsweep":
-        rows = degree_interference_sweep(args.n_list, trials=args.trials, seed=args.seed,
-                                         signals_per_cell=args.signals)
-        return {}, ("n", "power", "std_error"), rows
 
     # Refused before np.linspace, which turns an infinite end into nan.
     for flag, value in (("--et-max", args.et_max), ("--ephi-max", args.ephi_max)):
@@ -489,14 +501,98 @@ def _cmd_mac_allocate(args):
     return results, columns, rows
 
 
+# ---------------------------------------------------------------------------
+# the modes of a run and the options each reads
+
+
+def _mode(command: str, args) -> str:
+    """The mode of a run, named as a refusal names it: the key of its row and its handler."""
+    if command == "criteria":
+        return "criteria --sweep-bs" if args.sweep_bs is not None else "criteria without --sweep-bs"
+    if command == "optimize":
+        return f"--verify {args.verify}" if args.verify else "optimize without --verify"
+    if command == "interference":
+        return f"interference --mode {args.mode}"
+    return command
+
+
+# The dests each mode of a subcommand reads.  A run refuses any other flag
+# given to it (a --config line included), and its header echoes these dests
+# where they have a value.  The dest that selects a mode is in every row of
+# its subcommand; --out and --config, which say where output goes and
+# where flags come from, are in none.
+_READS = {
+    "criteria": {
+        "criteria without --sweep-bs": {
+            "format", "sweep_bs", "ser", "m", "g", "b_s", "n0n", "n0i",
+            "tx_power", "sys_gain", "ref_loss", "ref_dist", "loss_exp", "rx_npi"},
+        "criteria --sweep-bs": {"format", "sweep_bs", "ser", "m", "g", "m_list", "g_list"},
+    },
+    "optimize": {
+        "optimize without --verify": {
+            "format", "verify", "objective", "m", "m_set", "g", "g_range", "b_s", "bs_range",
+            "cf_min", "w_cap", "band_eps"},
+        "--verify statement1": {"format", "verify", "m", "g_range", "bs_range"},
+        "--verify statement3": {"format", "verify", "m", "g_list", "h_window"},
+    },
+    "interference": {
+        "interference --mode surface": {
+            "format", "mode", "degree", "rows", "et_max", "ephi_max", "grid", "noise_db",
+            "trials", "inter_cells", "inter_weight", "seed"},
+        "interference --mode nsweep": {"format", "mode", "n_list", "trials", "signals", "seed"},
+    },
+    "mac limits": {"mac limits": {"format", "discipline", "length_bits", "bit_rate", "geom_p"}},
+    "mac simulate": {"mac simulate": {
+        "format", "discipline", "length_bits", "bit_rate", "geom_p", "overhead", "loads",
+        "packets", "warmup", "batches", "confidence", "seed"}},
+    "mac allocate": {"mac allocate": {"format", "n", "shares"}},
+}
+
 _HANDLERS = {
-    "criteria": _cmd_criteria,
-    "optimize": _cmd_optimize,
-    "interference": _cmd_interference,
+    "criteria without --sweep-bs": _cmd_criteria,
+    "criteria --sweep-bs": _cmd_criteria_sweep,
+    "optimize without --verify": _cmd_optimize,
+    "--verify statement1": _cmd_verify_statement1,
+    "--verify statement3": _cmd_verify_statement3,
+    "interference --mode surface": _cmd_surface,
+    "interference --mode nsweep": _cmd_nsweep,
     "mac limits": _cmd_mac_limits,
     "mac simulate": _cmd_mac_simulate,
     "mac allocate": _cmd_mac_allocate,
 }
+
+
+def _given(parser: argparse.ArgumentParser, argv: list[str]) -> dict[str, str]:
+    """The dests ``argv`` sets, each with its flag, from a parse without defaults.
+
+    It takes the defaults off ``parser`` and its subparsers.
+    """
+    flags, parsers = {}, [parser]
+    for p in parsers:  # the subparsers join as they are found
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.option_strings:
+                flags[action.dest] = action.option_strings[0]
+    return {dest: flags[dest] for dest in vars(parser.parse_args(argv)) if dest in flags}
+
+
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, str, str]:
+    """A run's arguments, command and mode.
+
+    Refuses every flag given that the mode does not read (argparse's own
+    refusals raise SystemExit).
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    command = args.command if args.command != "mac" else f"mac {args.mac_command}"
+    mode = _mode(command, args)
+    reads = _READS[command][mode] | {"config", "out"}
+    unread = sorted(flag for dest, flag in _given(parser, argv).items() if dest not in reads)
+    if unread:
+        raise UsageError(f"{mode} does not read {', '.join(unread)}")
+    return args, command, mode
 
 
 # ---------------------------------------------------------------------------
@@ -578,21 +674,19 @@ def main(argv: list[str] | None = None) -> int:
         config_path = _find_config(argv)
         if config_path is not None:
             command = _command_tokens(argv)
-            if command not in _HANDLERS:
+            if command not in _READS:
                 raise UsageError("--config needs a recognised subcommand on the command line")
             # Config flags go before the command line's own, which therefore win.
             n = len(command.split())
             argv = [*argv[:n], *_read_config(config_path), *argv[n:]]
         try:
-            args = build_parser().parse_args(argv)
+            args, command, mode = _parse(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
-        command = args.command if args.command != "mac" else f"mac {args.mac_command}"
-        results, columns, rows = _HANDLERS[command](args)
-        # The header echoes every option of the subcommand that has a value,
-        # but not the command itself or where its input and output go.
-        params = {k: _ECHO.get(k, _fmt)(v) for k, v in vars(args).items()
-                  if v is not None and k not in ("command", "mac_command", "config", "out")}
+        results, columns, rows = _HANDLERS[mode](args)
+        # The header echoes every option the mode reads that has a value.
+        params = {k: _ECHO.get(k, _fmt)(getattr(args, k)) for k in _READS[command][mode]
+                  if getattr(args, k) is not None}
         render = _render_csv if args.format == "csv" else _render_json
         text = render(command, params, results, columns, rows)
         if args.out:

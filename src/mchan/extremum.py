@@ -493,7 +493,7 @@ def _search(spec: ExtremumSpec, maximise: bool, axes: Axes, grid: list[float], u
     """The search of one m on its scan ``grid`` in h, with p there.
 
     Its result is (the result, or a certificate if no point is feasible,
-    and the evaluations of both passes).
+    and the evaluations of both passes, each point counted once).
     """
 
     def base(h: float) -> float | None:
@@ -521,6 +521,9 @@ def _search(spec: ExtremumSpec, maximise: bool, axes: Axes, grid: list[float], u
         if h_seed not in grid:
             j = bisect.bisect(grid, h_seed)
             m_grid, cw = grid[:j] + [h_seed] + grid[j:], cw[:j] + [seed[2:]] + cw[j:]
+        # The next pass reuses the outputs on m_grid, which this pass counted
+        # (h* as its probe), so it counts only its own probes.
+        total_evals -= len(m_grid)
 
     constraints = (maximise, spec.c_f_min, w_cap)
     outs = [_feasibility(c, w, base(h), constraints) for h, (c, w) in zip(m_grid, cw)]

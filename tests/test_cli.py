@@ -201,6 +201,43 @@ def test_inputs_no_command_reads_exit_2(capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
+NSWEEP = ("interference", "--mode", "nsweep", "--n-list", "5,6", "--trials", "10")
+
+
+@pytest.mark.parametrize("argv, unread, mode", [
+    (("criteria", "--m", "8", "--g", "1", "--sweep-bs", "0.5:50:3"),
+     {"--n0n": "1e-20", "--tx-power": "1"}, "criteria --sweep-bs"),
+    (POINT, {"--m-list": "2,4", "--g-list": "1,2"}, "criteria without --sweep-bs"),
+    (("optimize", "--m", "8"), {"--g-list": "5,6", "--h-window": "1:2"},
+     "optimize without --verify"),
+    (("optimize", "--verify", "statement3", "--m", "8"),
+     {"--g-range": "0.1:1:4", "--objective": "max-icse", "--m-set": "2,4"},
+     "--verify statement3"),
+    (NSWEEP, {"--degree": "6", "--ephi-max": "1.0", "--et-max": "0.5", "--grid": "10x10",
+              "--inter-cells": "0", "--inter-weight": "0.5", "--noise-db": "-113.101",
+              "--rows": "8"}, "interference --mode nsweep"),
+    (("interference", "--degree", "3", "--grid", "2x2", "--trials", "10"),
+     {"--n-list": "8,10", "--signals": "4"}, "interference --mode surface"),
+], ids=("criteria_sweep", "criteria_point", "optimize", "statement3", "nsweep", "surface"))
+@pytest.mark.parametrize("as_config", [False, True], ids=("flags", "config"))
+def test_flags_the_mode_does_not_read_exit_2(tmp_path, capsys, argv, unread, mode, as_config):
+    # The run needs none of these, so it names them all rather than ignore
+    # them; a config line is a flag given, such as a line of a header
+    # written before the header echoed only what its mode reads.
+    assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    if as_config:
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text("".join(f"{k[2:].replace('-', '_')}={v}\n" for k, v in unread.items()))
+        extra = ["--config", str(cfg)]
+    else:
+        extra = [x for kv in unread.items() for x in kv]
+    assert cli.main([*argv, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {mode} does not read {', '.join(sorted(unread))}\n"
+
+
 def test_exact_ser_bound_exits_2(capsys):
     point = ["--g", "2", "--bs", "2"]
     assert cli.main(["criteria", "--m", "64", *point]) == 0
@@ -309,7 +346,7 @@ def test_raised_errors_map_to_exit_codes(monkeypatch, capsys, error, code, prefi
     def boom(args):
         raise error
 
-    monkeypatch.setitem(cli._HANDLERS, "criteria", boom)
+    monkeypatch.setitem(cli._HANDLERS, "criteria without --sweep-bs", boom)
     assert cli.main(["criteria", "--m", "4", "--g", "1.0", "--bs", "2.0"]) == code
     assert capsys.readouterr().err == f"{prefix}{error}\n"
 
@@ -353,6 +390,8 @@ def test_mac_allocate_output_is_frozen():
 
 
 def test_intra_surface_output_is_frozen():
+    # Surface mode reads neither --n-list nor --signals (nsweep's), so the
+    # header has no n_list or signals line; every other line is as it was.
     proc = run_cli("interference", "--mode", "surface", "--degree", "3", "--rows", "4",
                    "--grid", "3x3", "--trials", "50", "--seed", "5")
     assert proc.returncode == 0
@@ -367,11 +406,9 @@ def test_intra_surface_output_is_frozen():
         "# param inter_cells=0\n"
         "# param inter_weight=0.5\n"
         "# param mode=surface\n"
-        "# param n_list=8,10,12,14,16\n"
         "# param noise_db=-113.101\n"
         "# param rows=4\n"
         "# param seed=5\n"
-        "# param signals=4\n"
         "# param trials=50\n"
         "# result corner_sinr_db=113.101\n"
         "eps_t,eps_phi,sinr_db\n"
@@ -407,15 +444,22 @@ def test_negative_seed_is_a_usage_error():
     ("interference", "--mode", "nsweep", "--n-list", "5,6", "--trials", "50", "--seed", "3"),
     ("mac", "limits", "--discipline", "mm1", "--length-bits", "1000", "--geom-p", "0.002"),
     ("mac", "allocate", "--n", "4", "--shares", "1:0.5,2:0.3,3:0.2"),
+    BUDGET,
+    ("optimize", "--verify", "statement1", "--m", "4", "--g-range", "0.01:10.0:8",
+     "--bs-range", "0.5:5.0:2"),
+    ("optimize", "--objective", "max-icse", "--m", "8", "--band-eps", "0.05"),
+    (*JOULE, "--format", "json"),
 ], ids=("surface", "simulate", "optimize_bs", "optimize_g", "criteria_sweep", "statement3",
-        "nsweep", "mac_limits_geom_p", "mac_allocate"))
+        "nsweep", "mac_limits_geom_p", "mac_allocate", "criteria_budget", "statement1", "band",
+        "criteria_json"))
 def test_rerun_from_header_is_byte_identical(tmp_path, argv):
     first = tmp_path / "first.csv"
     again = tmp_path / "again.csv"
     cfg = tmp_path / "rerun.cfg"
     proc = run_cli(*argv, "--out", str(first))
     assert proc.returncode == 0
-    params = header_params(first.read_text())
+    text = first.read_text()
+    params = json.loads(text)["params"] if "json" in argv else header_params(text)
     cfg.write_text("".join(f"{k}={v}\n" for k, v in params.items()))
     tokens = argv[:2] if argv[0] == "mac" else argv[:1]
     proc = run_cli(*tokens, "--config", str(cfg), "--out", str(again))
@@ -489,9 +533,9 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, line, argv):
 ], ids=("criteria_point", "criteria_joule", "criteria_sweep", "optimize", "statement1",
         "surface", "nsweep", "mac_limits", "mac_simulate", "mac_allocate_json"))
 def test_header_echoes_every_option_with_a_value(capsys, argv):
-    namespace = vars(cli.build_parser().parse_args(argv))
-    expected = {k for k, v in namespace.items()
-                if v is not None and k not in ("command", "mac_command", "config", "out")}
+    # Every option the mode's row of the table names that has a value, and no other.
+    args, command, mode = cli._parse(list(argv))
+    expected = {k for k in cli._READS[command][mode] if getattr(args, k) is not None}
     assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out
     params = json.loads(out)["params"] if "json" in argv else header_params(out)
@@ -503,9 +547,8 @@ def test_readme_commands_parse():
     with open(readme, encoding="utf-8") as fh:
         lines = [line.split("#")[0].split() for line in fh if line.startswith("mchan ")]
     assert len(lines) >= 11
-    parser = cli.build_parser()
     for words in lines:
-        parser.parse_args(words[1:])
+        cli._parse(words[1:])  # parses, and passes the table's refusal
 
 
 def test_version_flag():
@@ -633,13 +676,68 @@ def subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
     return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
-def test_cli_flags_are_frozen():
+def command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand, ``mac``'s three by their full names."""
     commands = subcommand_parsers(cli.build_parser())
     parsers = {name: p for name, p in commands.items() if name != "mac"}
-    parsers |= {f"mac {name}": p for name, p in subcommand_parsers(commands["mac"]).items()}
+    return parsers | {f"mac {name}": p for name, p in subcommand_parsers(commands["mac"]).items()}
+
+
+def test_cli_flags_are_frozen():
     flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
-             for name, p in parsers.items()}
+             for name, p in command_parsers().items()}
     assert flags == CLI_FLAGS
+
+
+def test_modes_read_every_flag_of_their_subcommand():
+    # A flag that no mode reads, or a row naming a dest that is no flag, fails here.
+    parsers = command_parsers()
+    assert set(cli._READS) == set(parsers)
+    for name, p in parsers.items():
+        dests = {a.dest for a in p._actions if a.option_strings} - {"help"}
+        assert set().union(*cli._READS[name].values()) | {"config", "out"} == dests, name
+
+
+# One input per mode that reads every option of its mode's row.
+MODE_INPUTS = {
+    "criteria without --sweep-bs": BUDGET + ["--n0n", "1e-20"],
+    "criteria --sweep-bs": ["criteria", "--m", "8", "--g", "1.0", "--sweep-bs", "0.5:50:3"],
+    "optimize without --verify": ["optimize", "--m", "8"],
+    "--verify statement1": ["optimize", "--verify", "statement1", "--m", "4",
+                            "--g-range", "0.01:10.0:8", "--bs-range", "0.5:5.0:2"],
+    "--verify statement3": ["optimize", "--verify", "statement3", "--m", "4"],
+    "interference --mode surface": ["interference", "--degree", "3", "--grid", "2x2",
+                                    "--trials", "10", "--inter-cells", "1"],
+    "interference --mode nsweep": list(NSWEEP),
+    "mac limits": ["mac", "limits", "--discipline", "mm1", "--length-bits", "1000"],
+    "mac simulate": ["mac", "simulate", "--discipline", "md1", "--length-bits", "64",
+                     "--loads", "0.5", "--packets", "400", "--warmup", "10", "--batches", "4"],
+    "mac allocate": ["mac", "allocate", "--n", "4", "--shares", "0.5,0.5"],
+}
+
+
+def test_every_mode_has_a_handler_and_an_input():
+    modes = {mode for rows in cli._READS.values() for mode in rows}
+    assert set(cli._HANDLERS) == set(MODE_INPUTS) == modes
+
+
+@pytest.mark.parametrize("mode", MODE_INPUTS)
+def test_the_table_is_what_the_handlers_read(mode):
+    # The mode's selection and its handler read the row's options and no
+    # other; main reads --format to render.
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = cli.build_parser().parse_args(MODE_INPUTS[mode], namespace=Recording())
+    command = args.command if args.command != "mac" else f"mac {args.mac_command}"
+    read.clear()
+    assert cli._mode(command, args) == mode
+    cli._HANDLERS[mode](args)
+    assert (read & set(vars(args))) | {"format"} == cli._READS[command][mode]
 
 
 def test_public_surface_is_frozen():

@@ -215,7 +215,12 @@ def test_search_work_counts(band_scan):
     # points out of the window, which ends the search after the 64-point grid.
     assert minimize_icpe(ExtremumSpec(m_fixed=2)).evaluations == 65
     total = sum(res.evaluations for _, res in band_scan.values())
-    assert total <= 5000  # 4685; 5576 by golden section
+    assert total <= 2900  # 2710; 4685 when the band pass counted the seed pass's grid again
+    # The constrained pass reuses the first pass's grid outputs, h* (that
+    # pass's last probe) spliced in, so each point counts once: here the
+    # 64 grid points and the 14 probes of both passes.
+    assert minimize_icpe(ExtremumSpec(m_fixed=8, w_cap=1.48545)).evaluations == 78  # was 143
+    assert maximize_icse(ExtremumSpec(m_fixed=8, icpe_band_eps=0.05)).evaluations == 86  # was 152
 
 
 def test_kernel_calls_per_search(monkeypatch):
